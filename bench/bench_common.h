@@ -7,11 +7,17 @@
 // blocks, replication 3, 4 containers per node (paper-era slot counts —
 // slot contention is what produces realistic ~85% map locality and hence
 // non-zero HDFS-read traffic).
+//
+// Perf benches time through time_repeated() (one warm-up run, then N timed
+// repetitions, reported as median and IQR) and stamp their JSON with
+// provenance_json(), so a BENCH_*.json number says how it was measured.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,6 +26,14 @@
 #include "keddah/toolchain.h"
 #include "util/strings.h"
 #include "util/table.h"
+
+// Set per bench target by bench/CMakeLists.txt.
+#ifndef KEDDAH_BUILD_TYPE
+#define KEDDAH_BUILD_TYPE "unknown"
+#endif
+#ifndef KEDDAH_COMMIT
+#define KEDDAH_COMMIT "unknown"
+#endif
 
 namespace keddah::bench {
 
@@ -65,6 +79,45 @@ inline std::vector<model::TrainingRun> capture(const hadoop::ClusterConfig& cfg,
   spec.seed = seed;
   spec.threads = 0;
   return core::capture_runs(cfg, spec);
+}
+
+/// Repeated wall-clock samples of one bench case, in run order.
+struct Timing {
+  std::vector<double> samples_s;
+
+  /// Linear-interpolated quantile of the samples (0 when empty).
+  double quantile(double q) const {
+    if (samples_s.empty()) return 0.0;
+    std::vector<double> sorted = samples_s;
+    std::sort(sorted.begin(), sorted.end());
+    const double pos = q * static_cast<double>(sorted.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    return sorted[lo] + (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+  }
+  double median_s() const { return quantile(0.5); }
+  double iqr_s() const { return quantile(0.75) - quantile(0.25); }
+};
+
+/// Runs `once` one untimed warm-up time, then `reps` timed times. `once`
+/// returns the seconds of its own timed region, so per-run set-up (building
+/// a topology, scheduling the load) stays out of the samples.
+template <typename Fn>
+Timing time_repeated(std::size_t reps, Fn&& once) {
+  once();  // warm-up: page faults, allocator growth, cold caches
+  Timing timing;
+  timing.samples_s.reserve(reps);
+  for (std::size_t i = 0; i < reps; ++i) timing.samples_s.push_back(once());
+  return timing;
+}
+
+/// How a BENCH_*.json was measured: build type and source commit (both
+/// fixed when CMake configures the bench tree), logical CPUs, and the
+/// repetition scheme.
+inline std::string provenance_json(std::size_t reps) {
+  return util::format(R"({"build_type":"%s","commit":"%s","cpus":%u,"warmup":1,"reps":%zu})",
+                      KEDDAH_BUILD_TYPE, KEDDAH_COMMIT, std::thread::hardware_concurrency(),
+                      reps);
 }
 
 /// Standard bench banner.

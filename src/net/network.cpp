@@ -19,6 +19,16 @@ namespace {
 constexpr double kDrainEpsilonBits = 1e-2;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Dense-solve cutover: a solve whose component holds at least
+/// 1/kDenseDivisor of the live flows reads its canonical id order off the
+/// id-ordered active list instead of sorting. That list holds at most two
+/// entries per live flow, so at the cutover the filter reads at most four
+/// entries per component flow, against log2(n) comparisons each for the
+/// sort. Both sources yield the same order. Reference solves span every
+/// live flow and always filter, while incremental solves of small
+/// components sort, so the differential tests compare the two.
+constexpr std::size_t kDenseDivisor = 2;
 }  // namespace
 
 const char* flow_kind_name(FlowKind kind) {
@@ -196,6 +206,21 @@ void Network::audit_scheduler() const {
     ++frontier;
   }
   if (frontier != dirty_flags) fail("dirty flags out of sync with frontier");
+
+  std::vector<std::uint8_t> listed(slot_id_.size(), 0);
+  std::size_t dead_entries = 0;
+  for (std::size_t i = 0; i < id_order_.size(); ++i) {
+    const IdOrderEntry& e = id_order_[i];
+    if (i > 0 && id_order_[i - 1].id >= e.id) fail("id-ordered list not strictly increasing");
+    if (e.slot >= slot_id_.size()) fail("id-ordered list entry out of arena bounds");
+    if (!slot_in_use_[e.slot] || slot_id_[e.slot] != e.id) {
+      ++dead_entries;
+      continue;
+    }
+    if (listed[e.slot]++ != 0) fail("live slot listed twice in the id-ordered list");
+  }
+  if (id_order_.size() - dead_entries != in_use) fail("live slot missing from the id-ordered list");
+  if (dead_entries != id_order_dead_) fail("id-ordered list dead count out of sync");
 }
 
 ArenaStats Network::arena_stats() const {
@@ -372,6 +397,14 @@ FlowId Network::start_flow(NodeId src, NodeId dst, util::Bytes bytes, FlowMeta m
                      ++live_slots_;
                      peak_live_slots_ = std::max(peak_live_slots_, live_slots_);
                      slot_index_.insert(flow.id, slot);
+                     // Activation order is id order up to setup-latency
+                     // differences, so the backward insertion is short.
+                     std::size_t at = id_order_.size();
+                     id_order_.push_back({flow.id, slot});
+                     for (; at > 0 && id_order_[at - 1].id > flow.id; --at) {
+                       id_order_[at] = id_order_[at - 1];
+                     }
+                     id_order_[at] = {flow.id, slot};
                      add_membership(slot);
                      heap_insert(slot);
                      reshare();
@@ -442,6 +475,10 @@ std::uint32_t Network::allocate_slot() {
   slot_callback_.emplace_back();
   slot_visit_.push_back(0);
   slot_local_.push_back(0);
+  // The id-ordered list never holds more than two entries per slot (dead
+  // entries are compacted once they outnumber live ones), so growing its
+  // capacity with the arena keeps the append at activation allocation-free.
+  if (id_order_.capacity() < 2 * slot_id_.size()) id_order_.reserve(4 * slot_id_.size());
   return slot;
 }
 
@@ -538,6 +575,14 @@ std::pair<Flow, Network::CompletionCallback> Network::detach(std::uint32_t slot)
   slot_index_.erase(slot_id_[slot]);
   slot_in_use_[slot] = 0;
   --live_slots_;
+  // Dead id-order entries are dropped once they outnumber live ones, so the
+  // O(list) pass costs O(1) amortized per departure; erase_if keeps order.
+  if (2 * ++id_order_dead_ > id_order_.size()) {
+    std::erase_if(id_order_, [this](const IdOrderEntry& e) {
+      return !slot_in_use_[e.slot] || slot_id_[e.slot] != e.id;
+    });
+    id_order_dead_ = 0;
+  }
   // The slot keeps its pool segment parked for its next occupant; only the
   // length is cleared so audits and compaction see it as empty.
   path_pool_parked_ += slot_path_[slot].cap;
@@ -660,12 +705,22 @@ void Network::solve_dirty() {
   // a pure function of (membership, capacities) — independent of how the
   // component was discovered — which is what makes incremental and
   // reference allocations bit-identical.
-  std::sort(scratch_flows_.begin(), scratch_flows_.end(), [this](std::uint32_t a, std::uint32_t b) {
-    return slot_id_[a] < slot_id_[b];
-  });
+  const std::size_t nf = scratch_flows_.size();
+  if (kDenseDivisor * nf >= live_slots_) {
+    // Dense component: the id-ordered active list filtered on this solve's
+    // visit stamp is the same sequence the sort would produce. The id check
+    // skips dead entries whose slot now holds a newer flow.
+    std::size_t w = 0;
+    for (const IdOrderEntry& e : id_order_) {
+      if (slot_visit_[e.slot] == epoch && slot_id_[e.slot] == e.id) scratch_flows_[w++] = e.slot;
+    }
+    assert(w == nf);
+  } else {
+    std::sort(scratch_flows_.begin(), scratch_flows_.end(),
+              [this](std::uint32_t a, std::uint32_t b) { return slot_id_[a] < slot_id_[b]; });
+  }
   std::sort(scratch_local_arcs_.begin(), scratch_local_arcs_.end());
 
-  const std::size_t nf = scratch_flows_.size();
   const std::size_t n_real = scratch_local_arcs_.size();
   for (std::size_t li = 0; li < n_real; ++li) {
     arc_local_idx_[scratch_local_arcs_[li]] = static_cast<std::uint32_t>(li);
@@ -740,6 +795,12 @@ void Network::solve_dirty() {
 
   auto& frozen = scratch_frozen_;
   frozen.assign(nf, 0);
+  // Round stamps only grow (share_round_ spans solves), so the stamp
+  // buffer needs no clearing; entries it gains start below every round.
+  auto& arc_round = scratch_arc_round_;
+  if (arc_round.size() < n_arcs) arc_round.resize(n_arcs, 0);
+  auto& touched = scratch_touched_;
+  touched.reserve(n_arcs);
   std::size_t remaining_flows = nf;
   while (remaining_flows > 0) {
     assert(!share_heap.empty());
@@ -747,9 +808,14 @@ void Network::solve_dirty() {
     const auto [share, li] = share_heap.back();
     share_heap.pop_back();
     // Lazy deletion: an entry is live only if it matches the arc's current
-    // share (every share change pushes a fresh entry).
+    // share (every round pushes a fresh entry for each arc it touched).
     if (unfrozen[li] == 0 || share != arc_share(li)) continue;
 
+    // Every flow frozen this round takes `share` off each arc of its path.
+    // Only an arc's share after the round can be live at the next pop, so
+    // the round records the arcs it touched and pushes each one once.
+    const std::uint64_t round = ++share_round_;
+    touched.clear();
     const auto freeze = [&](std::uint32_t fi) {
       if (frozen[fi]) return;
       frozen[fi] = true;
@@ -759,9 +825,9 @@ void Network::solve_dirty() {
         const std::uint32_t lj = flow_arcs[k];
         residual[lj] -= share;
         --unfrozen[lj];
-        if (lj != li && unfrozen[lj] > 0) {
-          share_heap.emplace_back(arc_share(lj), lj);
-          std::push_heap(share_heap.begin(), share_heap.end(), later);
+        if (arc_round[lj] != round) {
+          arc_round[lj] = round;
+          touched.push_back(lj);
         }
       }
     };
@@ -774,6 +840,13 @@ void Network::solve_dirty() {
       }
     } else {
       freeze(virtual_member[li - n_real]);
+    }
+    // The bottleneck arc is fully frozen now, so the unfrozen check skips it.
+    for (const std::uint32_t lj : touched) {
+      if (unfrozen[lj] > 0) {
+        share_heap.emplace_back(arc_share(lj), lj);
+        std::push_heap(share_heap.begin(), share_heap.end(), later);
+      }
     }
   }
 }

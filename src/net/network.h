@@ -304,10 +304,11 @@ class Network {
 
   /// Audits the scheduler's internal structures: per-arc member lists and
   /// back-references consistent, completion heap well-formed, dirty flags in
-  /// sync with the frontier, columnar path pool segments in bounds. Throws
-  /// util::AuditError on breach. Cheap enough for tests to call after every
-  /// event; KEDDAH_CHECK builds do not call it automatically (it is
-  /// O(active flows x path)).
+  /// sync with the frontier, columnar path pool segments in bounds, and the
+  /// id-ordered active list strictly increasing by id with every live slot
+  /// on it exactly once. Throws util::AuditError on breach. Cheap enough for
+  /// tests to call after every event; KEDDAH_CHECK builds do not call it
+  /// automatically (it is O(active flows x path)).
   void audit_scheduler() const;
 
   /// Looks up an active flow; returns nullptr if finished or unknown. The
@@ -479,6 +480,17 @@ class Network {
 
   std::vector<std::uint32_t> free_slots_;
   FlowSlotIndex slot_index_;
+  /// Activated flows in strictly increasing id order, as (id, slot). An
+  /// entry is live while its slot still holds that id; departed flows'
+  /// entries stay (dead) until detach() drops them, once they outnumber
+  /// the live ones. Dense solves read their canonical flow order off this
+  /// list instead of sorting (DESIGN.md §9).
+  struct IdOrderEntry {
+    FlowId id;
+    std::uint32_t slot;
+  };
+  std::vector<IdOrderEntry> id_order_;
+  std::size_t id_order_dead_ = 0;
   std::vector<ArcState> arcs_;
   std::vector<std::uint32_t> dirty_arcs_;
   std::vector<std::uint32_t> finish_heap_;
@@ -505,6 +517,12 @@ class Network {
   std::vector<std::uint32_t> scratch_virtual_member_;
   std::vector<std::pair<double, std::uint32_t>> scratch_share_heap_;
   std::vector<std::uint8_t> scratch_frozen_;
+  /// Bottleneck-round bookkeeping: the round that last touched each local
+  /// arc (stamped with share_round_, which counts rounds across solves),
+  /// and the arcs the current round touched, each once.
+  std::uint64_t share_round_ = 0;
+  std::vector<std::uint64_t> scratch_arc_round_;
+  std::vector<std::uint32_t> scratch_touched_;
   /// on_completion_event() drained batch (flow + callback pairs), reused
   /// across completion events.
   std::vector<std::pair<Flow, CompletionCallback>> scratch_drained_;

@@ -82,7 +82,9 @@ LengthStatus content_length(const std::string& headers, std::size_t* out) {
     const auto colon = line.find(':');
     if (colon == std::string::npos) continue;
     if (util::to_lower(util::trim(line.substr(0, colon))) != "content-length") continue;
-    const auto value = util::trim(line.substr(colon + 1));
+    // View `line` itself: trimming a substr() temporary would leave `value`
+    // dangling once the statement ends.
+    const auto value = util::trim(std::string_view(line).substr(colon + 1));
     if (value.empty()) return LengthStatus::kMalformed;
     std::size_t length = 0;
     for (const char c : value) {

@@ -248,6 +248,49 @@ TEST_P(NetworkProperty, MaxMinInvariantsHoldAfterEveryEvent) {
   }
 }
 
+// One dense shape under the same per-event checks: a 200-flow open-loop
+// burst on the oversubscribed 4x4 rack tree is one sharing component
+// spanning the fabric, so solves read their canonical order off the
+// id-ordered active list. Slow-start activates flows out of id order and
+// targeted aborts leave dead entries behind, so audit_scheduler() checks
+// the list's backward insertions and compactions after every event.
+TEST(NetworkDense, AuditAndMaxMinHoldAfterEveryEvent) {
+  unsetenv("KEDDAH_REFERENCE_SCHEDULER");
+  for (const bool reference : {false, true}) {
+    ks::Simulator sim;
+    kn::NetworkOptions opts;
+    opts.model_slow_start = true;
+    opts.reference_scheduler = reference;
+    kn::Network net(sim, make(TopoKind::kOversubTree), opts);
+    const auto hosts = net.topology().hosts();
+    ku::Rng rng(2026);
+    const std::size_t n = 200;
+    int completions = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto src = hosts[i % hosts.size()];
+      // Offsets 1..13 of 16 hosts: never a loopback, many distinct pairs.
+      const auto dst = hosts[(i + 1 + i / hosts.size()) % hosts.size()];
+      const double bytes = std::pow(10.0, rng.uniform(4.0, 7.0));
+      sim.schedule_at(rng.uniform(0.0, 0.02), [&net, &completions, src, dst, bytes] {
+        net.start_flow(src, dst, ku::Bytes(bytes), {}, [&completions](const kn::Flow&) {
+          ++completions;
+        });
+      });
+    }
+    for (const kn::FlowId victim : {7u, 60u, 61u, 150u}) {
+      sim.schedule_at(0.03, [&net, victim] { net.abort_flow(victim); });
+    }
+    std::size_t steps = 0;
+    while (sim.step()) {
+      net.audit_scheduler();
+      expect_max_min(net, std::string(reference ? "dense/ref" : "dense/inc") + " step " +
+                              std::to_string(++steps));
+      if (HasFailure()) return;
+    }
+    EXPECT_EQ(completions, static_cast<int>(n));
+  }
+}
+
 TEST_P(NetworkProperty, NoOpCapacityChangeIsFreeAndRateNeutral) {
   // Rewriting every link to its current capacity must leave the dirty set
   // empty: the solver must not run and no flow's rate may move a bit.

@@ -39,6 +39,7 @@ cmake --build "${BUILD}" \
       --target parallel_test net_network_test fault_injection_test \
                hadoop_faults_test scenario_test invariant_audit_test \
                net_differential_test golden_trace_test net_property_test \
+               gen_test toolchain_test mix_test \
                spill_test api_test serve_test serve_chaos_test keddah \
                perf_scheduler perf_serve perf_scale perf_overload -j"$(nproc)"
 
@@ -49,8 +50,10 @@ cmake --build "${BUILD}" \
 # sanitizer too. SchedulerDifferential locks the incremental fair-share
 # fast path to the reference recompute, and GoldenTrace pins end-to-end
 # scenario output byte-for-byte — both with the KEDDAH_CHECK audits live.
+# Replay|ClosedLoopReplay drive gen::replay, whose open-loop schedules merge
+# the fabric into one component: the dense solve path under the sanitizer.
 ctest --test-dir "${BUILD}" --output-on-failure \
-      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|ArenaChurn'
+      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|ArenaChurn|Replay|ClosedLoopReplay'
 
 # A quick pass of the scheduler benchmark under the sanitizer: exercises
 # the incremental and reference schedulers back to back on all the
