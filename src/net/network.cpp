@@ -341,7 +341,7 @@ FlowId Network::start_flow(NodeId src, NodeId dst, util::Bytes bytes, FlowMeta m
 
   flow.path = topology_.route(src, dst, id);
   const double latency =
-      options_.model_latency ? topology_.path_latency(src, dst, id).value() : 0.0;
+      options_.model_latency ? topology_.path_latency(flow.path).value() : 0.0;
   double ramp = 0.0;
   if (options_.model_slow_start && latency > 0.0) {
     // Slow-start approximation: the window doubles each RTT until the
@@ -355,7 +355,8 @@ FlowId Network::start_flow(NodeId src, NodeId dst, util::Bytes bytes, FlowMeta m
 
   // Connection establishment: first byte moves one path latency after submit.
   sim_.schedule_in(latency + ramp,
-                   [this, flow = std::move(flow), ramp, cb = std::move(on_complete)]() mutable {
+                   [this, flow = std::move(flow), latency, ramp,
+                    cb = std::move(on_complete)]() mutable {
                      flow.start_time = sim_.now() - ramp;
                      if (!node_up(flow.src) || !node_up(flow.dst)) {
                        // Endpoint died during connection setup: the connect
@@ -387,6 +388,7 @@ FlowId Network::start_flow(NodeId src, NodeId dst, util::Bytes bytes, FlowMeta m
                      slot_rate_cap_[slot] = flow.rate_cap_bps;
                      slot_submit_[slot] = flow.submit_time;
                      slot_start_[slot] = flow.start_time;
+                     slot_latency_[slot] = latency;
                      slot_last_update_[slot] = sim_.now();
                      slot_finish_[slot] = kInf;
                      slot_meta_[slot] = flow.meta;
@@ -466,6 +468,7 @@ std::uint32_t Network::allocate_slot() {
   slot_rate_cap_.push_back(kInf);
   slot_submit_.push_back(0.0);
   slot_start_.push_back(0.0);
+  slot_latency_.push_back(0.0);
   slot_last_update_.push_back(0.0);
   slot_finish_.push_back(kInf);
   slot_meta_.emplace_back();
@@ -957,13 +960,17 @@ void Network::on_completion_event() {
                      kDrainEpsilonBits + 1e-9 * slot_bytes_[slot].bits(),
                  "completed flow left real payload behind");
     slot_remaining_[slot] = util::Bytes(0.0);
+    const double tail_latency = slot_latency_[slot];
+    auto [flow, cb] = detach(slot);
     // archlint:allow(hot-push-back): flow-bounded scratch; capacity
     // persists across completion events.
-    scratch_drained_.push_back(detach(slot));
+    scratch_drained_.push_back({std::move(flow), std::move(cb), tail_latency});
   }
   // Heap pop order is (finish, id): simultaneous completions resolve in
   // flow-id order, keeping downstream callbacks deterministic.
-  for (auto& [flow, cb] : scratch_drained_) resolve_finished(std::move(flow), std::move(cb));
+  for (auto& [flow, cb, tail_latency] : scratch_drained_) {
+    resolve_finished(std::move(flow), std::move(cb), tail_latency);
+  }
   reshare();
   if constexpr (util::kAuditEnabled) audit_conservation();
 }
@@ -1005,10 +1012,8 @@ std::size_t Network::abort_flows_touching(NodeId node) {
   return aborted;
 }
 
-void Network::resolve_finished(Flow flow, CompletionCallback cb) {
+void Network::resolve_finished(Flow flow, CompletionCallback cb, double tail_latency) {
   flow.done = true;
-  const double tail_latency =
-      options_.model_latency ? topology_.path_latency(flow.src, flow.dst, flow.id).value() : 0.0;
   if (tail_latency > 0.0) {
     limbo(flow) += flow.bytes;  // drained but not yet delivered (tail latency)
     sim_.schedule_in(tail_latency, [this, flow = std::move(flow), cb = std::move(cb)]() mutable {

@@ -419,8 +419,8 @@ class Network {
   void on_completion_event();
 
   /// Delivery tail: fires taps/callback for a fully drained, already
-  /// detached flow (after the tail latency when modelled).
-  void resolve_finished(Flow flow, CompletionCallback cb);
+  /// detached flow, `tail_latency` seconds later (immediately when 0).
+  void resolve_finished(Flow flow, CompletionCallback cb, double tail_latency);
   /// Terminates an already-detached flow with partial-byte accounting and
   /// fires taps/callback immediately.
   void resolve_aborted(Flow flow, CompletionCallback cb);
@@ -456,6 +456,9 @@ class Network {
   std::vector<double> slot_rate_cap_;      ///< cap, +inf when uncapped
   std::vector<double> slot_submit_;
   std::vector<double> slot_start_;
+  /// One-way path latency (0 unless modelled), taken from the route at
+  /// start_flow and carried to the delivery tail so no flow is re-routed.
+  std::vector<double> slot_latency_;
   std::vector<double> slot_last_update_;   ///< progress exact up to here
   std::vector<double> slot_finish_;        ///< projected finish (heap key)
   std::vector<FlowMeta> slot_meta_;
@@ -523,9 +526,13 @@ class Network {
   std::uint64_t share_round_ = 0;
   std::vector<std::uint64_t> scratch_arc_round_;
   std::vector<std::uint32_t> scratch_touched_;
-  /// on_completion_event() drained batch (flow + callback pairs), reused
-  /// across completion events.
-  std::vector<std::pair<Flow, CompletionCallback>> scratch_drained_;
+  /// on_completion_event() drained batch, reused across completion events.
+  struct Drained {
+    Flow flow;
+    CompletionCallback cb;
+    double tail_latency;
+  };
+  std::vector<Drained> scratch_drained_;
 
   FlowId next_flow_id_ = 1;
   sim::EventId completion_event_ = sim::kInvalidEvent;

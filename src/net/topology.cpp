@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <limits>
 #include <stdexcept>
 
@@ -47,7 +46,7 @@ LinkId Topology::add_link(NodeId a, NodeId b, util::Rate capacity, util::Seconds
   links_.push_back(Link{id, a, b, capacity, latency});
   adjacency_[a].emplace_back(b, Arc{id, 0});
   adjacency_[b].emplace_back(a, Arc{id, 1});
-  dist_cache_.clear();  // invalidate memoized BFS results
+  row_slot_.clear();  // invalidate memoized BFS rows
   return id;
 }
 
@@ -94,16 +93,35 @@ std::map<int, std::vector<NodeId>> Topology::hosts_by_rack() const {
   return out;
 }
 
-const std::vector<std::int16_t>& Topology::dist_to(NodeId dst) const {
-  const auto it = dist_cache_.find(dst);
-  if (it != dist_cache_.end()) return it->second;
-  std::vector<std::int16_t> dist(nodes_.size(), -1);
-  std::deque<NodeId> frontier;
-  dist[dst] = 0;
-  frontier.push_back(dst);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
+Topology::DistanceTo Topology::dist_to(NodeId dst) const {
+  const auto& adj = adjacency_[dst];
+  NodeId anchor = adj.empty() ? dst : adj.front().first;
+  for (const auto& [v, arc] : adj) {
+    (void)arc;
+    if (v != anchor) {
+      anchor = dst;
+      break;
+    }
+  }
+  return DistanceTo{row(anchor), dst, anchor == dst ? 0 : 1};
+}
+
+const std::int16_t* Topology::row(NodeId anchor) const {
+  const std::size_t n = nodes_.size();
+  if (row_slot_.size() != n) {  // first query since the graph changed
+    row_slot_.assign(n, -1);
+    rows_.clear();
+  }
+  std::int32_t& slot = row_slot_[anchor];
+  if (slot >= 0) return rows_[static_cast<std::size_t>(slot)].data();
+  slot = static_cast<std::int32_t>(rows_.size());
+  std::vector<std::int16_t>& dist = rows_.emplace_back(n, -1);
+  std::vector<NodeId> frontier;
+  frontier.reserve(n);
+  dist[anchor] = 0;
+  frontier.push_back(anchor);
+  for (std::size_t i = 0; i < frontier.size(); ++i) {
+    const NodeId u = frontier[i];
     if (dist[u] == std::numeric_limits<std::int16_t>::max()) {
       throw std::runtime_error("topology: diameter overflows the int16 distance cache");
     }
@@ -115,48 +133,57 @@ const std::vector<std::int16_t>& Topology::dist_to(NodeId dst) const {
       }
     }
   }
-  return dist_cache_.emplace(dst, std::move(dist)).first->second;
+  return dist.data();
 }
 
 std::vector<Arc> Topology::route(NodeId src, NodeId dst, std::uint64_t flow_key) const {
   if (src >= nodes_.size() || dst >= nodes_.size()) throw std::out_of_range("topology: bad node id");
   std::vector<Arc> path;
   if (src == dst) return path;  // loopback: no network arcs
-  const auto& dist = dist_to(dst);
-  if (dist[src] < 0) {
+  const DistanceTo dist = dist_to(dst);
+  const int hops = dist(src);
+  if (hops < 0) {
     throw std::runtime_error("topology: no path " + nodes_[src].name + " -> " + nodes_[dst].name);
   }
+  path.reserve(static_cast<std::size_t>(hops));
   NodeId here = src;
-  int hop = 0;
-  while (here != dst) {
-    // Collect equal-cost next hops (strictly decreasing BFS distance).
-    std::vector<std::pair<NodeId, Arc>> candidates;
-    for (const auto& [v, arc] : adjacency_[here]) {
-      if (dist[v] == dist[here] - 1) candidates.emplace_back(v, arc);
+  for (int hop = 0; hop < hops; ++hop) {
+    // Equal-cost next hops are the neighbours one hop closer. Count them,
+    // then take the (h % count)-th in adjacency order: the arc a
+    // materialized candidate list would yield, without building one.
+    const int closer = hops - hop - 1;
+    const auto& adj = adjacency_[here];
+    std::size_t count = 0;
+    for (const auto& [v, arc] : adj) {
+      (void)arc;
+      if (dist(v) == closer) ++count;
     }
-    assert(!candidates.empty());
+    assert(count > 0);
     // Hash-based per-flow ECMP: stable for one flow, spread across flows.
     const std::uint64_t h =
         mix(flow_key ^ mix((static_cast<std::uint64_t>(src) << 40) ^
                            (static_cast<std::uint64_t>(dst) << 20) ^
                            static_cast<std::uint64_t>(hop)));
-    const auto& [next, arc] = candidates[h % candidates.size()];
-    path.push_back(arc);
-    here = next;
-    ++hop;
+    std::size_t skip = h % count;
+    for (const auto& [v, arc] : adj) {
+      if (dist(v) != closer || skip-- != 0) continue;
+      path.push_back(arc);
+      here = v;
+      break;
+    }
   }
   return path;
 }
 
-util::Seconds Topology::path_latency(NodeId src, NodeId dst, std::uint64_t flow_key) const {
+util::Seconds Topology::path_latency(const std::vector<Arc>& path) const {
   util::Seconds total;
-  for (const Arc arc : route(src, dst, flow_key)) total += links_[arc.link].latency;
+  for (const Arc arc : path) total += link(arc.link).latency;
   return total;
 }
 
 int Topology::distance(NodeId src, NodeId dst) const {
   if (src >= nodes_.size() || dst >= nodes_.size()) throw std::out_of_range("topology: bad node id");
-  return dist_to(dst)[src];
+  return dist_to(dst)(src);
 }
 
 bool Topology::same_rack(NodeId a, NodeId b) const {

@@ -104,8 +104,9 @@ class Topology {
   /// std::runtime_error when dst is unreachable.
   std::vector<Arc> route(NodeId src, NodeId dst, std::uint64_t flow_key) const;
 
-  /// Sum of per-arc latencies along route(src, dst, flow_key).
-  util::Seconds path_latency(NodeId src, NodeId dst, std::uint64_t flow_key) const;
+  /// Sum of per-arc latencies along `path` (e.g. a route() result), in
+  /// path order.
+  util::Seconds path_latency(const std::vector<Arc>& path) const;
 
   /// Hop distance (number of links) between two nodes, or -1 if unreachable.
   int distance(NodeId src, NodeId dst) const;
@@ -118,13 +119,34 @@ class Topology {
   NodeId arc_to(Arc arc) const;
 
  private:
-  /// Distances from every node to `dst` (BFS over the undirected graph);
-  /// memoized per destination. Entries are int16_t: at 10k-host fat-tree
-  /// scale the cache holds one row per destination, and halving the element
-  /// width halves a multi-hundred-MB structure. Any real topology's
-  /// diameter fits with five orders of magnitude to spare; BFS throws if a
-  /// distance would overflow.
-  const std::vector<std::int16_t>& dist_to(NodeId dst) const;
+  /// Hop distances to one destination: 0 at `dst` itself, otherwise the
+  /// anchor's BFS row plus `offset`, and -1 where the row says unreachable.
+  struct DistanceTo {
+    const std::int16_t* row;
+    NodeId dst;
+    int offset;
+
+    int operator()(NodeId v) const {
+      if (v == dst) return 0;
+      const int d = row[v];
+      return d < 0 ? -1 : d + offset;
+    }
+  };
+
+  /// The one hop-distance oracle behind route() and distance(). A
+  /// destination whose every link leads to one node (a leaf host under its
+  /// edge switch) is anchored at that node and answered from its row plus
+  /// one hop, which is exact because every path into a leaf passes through
+  /// its neighbour. Any other destination (a switch, a multi-homed or
+  /// isolated host) is its own anchor. A k=36 fat-tree thus needs 648
+  /// host-facing rows, not 11,664.
+  DistanceTo dist_to(NodeId dst) const;
+
+  /// BFS distances from every node to `anchor`, built on first use. Entries
+  /// are int16_t: any real topology's diameter fits with five orders of
+  /// magnitude to spare, and BFS throws if a distance would overflow. The
+  /// pointer stays valid until the graph changes.
+  const std::int16_t* row(NodeId anchor) const;
 
   NodeId add_node(const std::string& name, int rack, bool is_switch);
 
@@ -133,7 +155,14 @@ class Topology {
   /// adjacency_[n] = list of (neighbor, arc leaving n).
   std::vector<std::vector<std::pair<NodeId, Arc>>> adjacency_;
   std::unordered_map<std::string, NodeId> by_name_;
-  mutable std::unordered_map<NodeId, std::vector<std::int16_t>> dist_cache_;
+  /// row_slot_[anchor] indexes the anchor's num_nodes()-wide row in rows_,
+  /// or is -1 while unbuilt; both reset whenever the graph changes. Rows are
+  /// separate row-sized blocks rather than one contiguous array: a block of
+  /// tens of MB is mmap'd and handed back to the OS when the topology dies,
+  /// so a process that builds network after network would page-fault its
+  /// next set-up back in.
+  mutable std::vector<std::int32_t> row_slot_;
+  mutable std::vector<std::vector<std::int16_t>> rows_;
 };
 
 /// Topology builders used across tests, examples, and benches. All hosts are

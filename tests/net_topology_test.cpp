@@ -1,12 +1,138 @@
 // Unit tests for topology construction, routing, ECMP, and the builders.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "net/topology.h"
 
 namespace kn = keddah::net;
 namespace ku = keddah::util;
+
+namespace {
+
+/// Reference router, kept as an oracle: one full BFS per destination and a
+/// materialized equal-cost candidate list at every hop. The production
+/// router must agree with it arc for arc.
+class ReferenceRouter {
+ public:
+  explicit ReferenceRouter(const kn::Topology& t) : topo_(t), adjacency_(t.num_nodes()) {
+    // Link-creation order reproduces Topology's adjacency order exactly.
+    for (kn::LinkId id = 0; id < t.num_links(); ++id) {
+      const kn::Link& l = t.link(id);
+      adjacency_[l.a].emplace_back(l.b, kn::Arc{id, 0});
+      adjacency_[l.b].emplace_back(l.a, kn::Arc{id, 1});
+    }
+  }
+
+  int distance(kn::NodeId src, kn::NodeId dst) { return dist_to(dst)[src]; }
+
+  std::vector<kn::Arc> route(kn::NodeId src, kn::NodeId dst, std::uint64_t flow_key) {
+    std::vector<kn::Arc> path;
+    if (src == dst) return path;
+    const std::vector<int>& dist = dist_to(dst);
+    if (dist[src] < 0) {
+      throw std::runtime_error("topology: no path " + topo_.node(src).name + " -> " +
+                               topo_.node(dst).name);
+    }
+    kn::NodeId here = src;
+    std::uint64_t hop = 0;
+    while (here != dst) {
+      std::vector<std::pair<kn::NodeId, kn::Arc>> candidates;
+      for (const auto& [v, arc] : adjacency_[here]) {
+        if (dist[v] == dist[here] - 1) candidates.emplace_back(v, arc);
+      }
+      const std::uint64_t h = mix(flow_key ^ mix((static_cast<std::uint64_t>(src) << 40) ^
+                                                 (static_cast<std::uint64_t>(dst) << 20) ^ hop));
+      const auto& [next, arc] = candidates.at(h % candidates.size());
+      path.push_back(arc);
+      here = next;
+      ++hop;
+    }
+    return path;
+  }
+
+ private:
+  static std::uint64_t mix(std::uint64_t x) {
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ULL;
+    x ^= x >> 33;
+    return x;
+  }
+
+  const std::vector<int>& dist_to(kn::NodeId dst) {
+    auto [it, fresh] = rows_.try_emplace(dst);
+    if (!fresh) return it->second;
+    std::vector<int>& dist = it->second;
+    dist.assign(topo_.num_nodes(), -1);
+    std::vector<kn::NodeId> frontier{dst};
+    dist[dst] = 0;
+    for (std::size_t i = 0; i < frontier.size(); ++i) {
+      const kn::NodeId u = frontier[i];
+      for (const auto& [v, arc] : adjacency_[u]) {
+        (void)arc;
+        if (dist[v] < 0) {
+          dist[v] = dist[u] + 1;
+          frontier.push_back(v);
+        }
+      }
+    }
+    return dist;
+  }
+
+  const kn::Topology& topo_;
+  std::vector<std::vector<std::pair<kn::NodeId, kn::Arc>>> adjacency_;
+  std::map<kn::NodeId, std::vector<int>> rows_;
+};
+
+/// Routes every ordered node pair (hosts and switches alike) under several
+/// flow keys through both routers and requires identical arcs, identical
+/// distances and identical "no path" errors.
+void expect_routes_match_reference(const kn::Topology& t, const std::string& label) {
+  SCOPED_TRACE(label);
+  ReferenceRouter ref(t);
+  const std::uint64_t keys[] = {0, 1, 77, 0x9e3779b97f4a7c15ULL, 123456789};
+  std::size_t mismatches = 0;
+  for (std::uint32_t s = 0; s < t.num_nodes(); ++s) {
+    for (std::uint32_t d = 0; d < t.num_nodes(); ++d) {
+      const kn::NodeId src(s);
+      const kn::NodeId dst(d);
+      if (t.distance(src, dst) != ref.distance(src, dst) && ++mismatches <= 3) {
+        ADD_FAILURE() << "distance " << t.node(src).name << " -> " << t.node(dst).name;
+      }
+      for (const std::uint64_t key : keys) {
+        std::vector<kn::Arc> got;
+        std::vector<kn::Arc> want;
+        std::string got_error = "(none)";
+        std::string want_error = "(none)";
+        try {
+          got = t.route(src, dst, key);
+        } catch (const std::runtime_error& e) {
+          got_error = e.what();
+        }
+        try {
+          want = ref.route(src, dst, key);
+        } catch (const std::runtime_error& e) {
+          want_error = e.what();
+        }
+        if ((got != want || got_error != want_error) && ++mismatches <= 3) {
+          ADD_FAILURE() << t.node(src).name << " -> " << t.node(dst).name << " key " << key
+                        << ": " << got.size() << " arcs vs " << want.size() << " reference ("
+                        << got_error << " / " << want_error << ")";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+}  // namespace
 
 TEST(Topology, AddAndLookupNodes) {
   kn::Topology t;
@@ -43,7 +169,7 @@ TEST(Topology, RouteThroughSwitch) {
   ASSERT_EQ(path.size(), 2u);
   EXPECT_EQ(t.arc_from(path[0]), h0);
   EXPECT_EQ(t.arc_to(path[1]), h1);
-  EXPECT_DOUBLE_EQ(t.path_latency(h0, h1, 1).value(), 2e-4);
+  EXPECT_DOUBLE_EQ(t.path_latency(path).value(), 2e-4);
 }
 
 TEST(Topology, LoopbackRouteIsEmpty) {
@@ -182,4 +308,56 @@ TEST(Topology, ArcIndexEncoding) {
   EXPECT_EQ(a.index(), 6u);
   EXPECT_EQ(b.index(), 7u);
   EXPECT_NE(a, b);
+}
+
+TEST(Topology, RoutesMatchPerDestinationBfsReference) {
+  expect_routes_match_reference(kn::make_star(6, 1e9, 1e-4), "star");
+  expect_routes_match_reference(kn::make_rack_tree(3, 4, 1e9, 1e10, 1e-4), "rack tree");
+  expect_routes_match_reference(kn::make_dumbbell(3, 2, 1e9, 5e8, 1e-4), "dumbbell");
+  expect_routes_match_reference(kn::make_fat_tree(4, 1e10, 1e-5, 4.0), "fat-tree k=4");
+  expect_routes_match_reference(kn::make_fat_tree(8, 1e10, 1e-5, 4.0), "fat-tree k=8");
+
+  // Hand-built corner cases: a triangle of switches, plain leaf hosts, a
+  // host homed on two different switches, a host with two parallel links to
+  // one switch, a leaf switch, and an isolated host.
+  kn::Topology t;
+  const auto link = [&t](kn::NodeId a, kn::NodeId b) {
+    t.add_link(a, b, ku::Rate::bps(1e9), ku::Seconds(1e-5));
+  };
+  const auto s0 = t.add_switch("s0");
+  const auto s1 = t.add_switch("s1");
+  const auto s2 = t.add_switch("s2");
+  const auto stub = t.add_switch("stub");
+  const auto h0 = t.add_host("h0", 0);
+  const auto h1 = t.add_host("h1", 2);
+  const auto dual = t.add_host("dual", 0);
+  const auto parallel = t.add_host("parallel", 1);
+  const auto isolated = t.add_host("isolated", 3);
+  link(s0, s1);
+  link(s1, s2);
+  link(s2, s0);
+  link(stub, s1);
+  link(h0, s0);
+  link(h1, s2);
+  link(dual, s0);
+  link(s2, dual);
+  link(parallel, s1);
+  link(s1, parallel);
+  expect_routes_match_reference(t, "corner cases");
+
+  EXPECT_EQ(t.distance(h0, isolated), -1);
+  EXPECT_EQ(t.distance(isolated, isolated), 0);
+  EXPECT_EQ(t.distance(h0, h1), 3);
+  EXPECT_EQ(t.distance(parallel, h0), 3);
+  try {
+    (void)t.route(h0, isolated, 1);
+    ADD_FAILURE() << "route to an isolated host must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "topology: no path h0 -> isolated");
+  }
+  // The two parallel links into `parallel` are distinct equal-cost arcs, so
+  // ECMP uses both across keys.
+  std::set<kn::LinkId> last_links;
+  for (std::uint64_t key = 0; key < 32; ++key) last_links.insert(t.route(h0, parallel, key).back().link);
+  EXPECT_EQ(last_links.size(), 2u);
 }

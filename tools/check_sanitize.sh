@@ -36,7 +36,7 @@ fi
 cmake -B "${BUILD}" -S "${ROOT}" -DKEDDAH_SANITIZE="${SAN}" -DKEDDAH_CHECK=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${BUILD}" \
-      --target parallel_test net_network_test fault_injection_test \
+      --target parallel_test net_topology_test net_network_test fault_injection_test \
                hadoop_faults_test scenario_test invariant_audit_test \
                net_differential_test golden_trace_test net_property_test \
                gen_test toolchain_test mix_test \
@@ -52,8 +52,10 @@ cmake --build "${BUILD}" \
 # scenario output byte-for-byte — both with the KEDDAH_CHECK audits live.
 # Replay|ClosedLoopReplay drive gen::replay, whose open-loop schedules merge
 # the fabric into one component: the dense solve path under the sanitizer.
+# Topology runs the anchor-keyed routing oracle (flat row storage, raw row
+# pointers) against its per-destination BFS reference.
 ctest --test-dir "${BUILD}" --output-on-failure \
-      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|ArenaChurn|Replay|ClosedLoopReplay'
+      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Topology|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|ArenaChurn|Replay|ClosedLoopReplay'
 
 # A quick pass of the scheduler benchmark under the sanitizer: exercises
 # the incremental and reference schedulers back to back on all the
