@@ -6,7 +6,6 @@
 
 #include "gen/replay.h"
 #include "keddah/scenario.h"
-#include "keddah/sweep.h"
 #include "keddah/toolchain.h"
 #include "net/network.h"
 #include "sim/simulator.h"

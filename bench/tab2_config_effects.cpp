@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "keddah/sweep.h"
+#include "core/sweep.h"
 #include "util/rng.h"
 #include "workloads/suite.h"
 

@@ -13,7 +13,6 @@
 #include "hadoop/attribution.h"
 #include "hadoop/faults.h"
 #include "keddah/scenario.h"
-#include "keddah/sweep.h"
 #include "model/calibration.h"
 #include "keddah/toolchain.h"
 #include "serve/server.h"

@@ -17,7 +17,7 @@
 // This header is the whole module: core sits just above util in the layer
 // DAG (DESIGN.md "Layer DAG") so low layers (workloads::run_grid) can use
 // the runner while linking only against keddah_util. The scenario-file
-// fan-out helper run_scenarios() lives in keddah/sweep.h (keddah_core).
+// fan-out helper run_scenarios() lives in keddah/scenario.h (keddah_core).
 #pragma once
 
 #include <cstddef>

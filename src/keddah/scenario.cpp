@@ -153,4 +153,17 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec) {
   return outcome;
 }
 
+std::vector<ScenarioOutcome> run_scenarios(std::span<const ScenarioSpec> specs,
+                                           std::size_t threads, SweepProgress progress) {
+  if (threads == 0) {
+    // No caller override: honour the specs' own thread budgets. Several
+    // specs may disagree; the sweep is one pool, so take the largest.
+    for (const auto& spec : specs) {
+      if (spec.threads > threads) threads = spec.threads;
+    }
+  }
+  SweepRunner runner({.threads = threads, .progress = std::move(progress)});
+  return runner.map(specs.size(), [&](std::size_t i) { return run_scenario(specs[i]); });
+}
+
 }  // namespace keddah::core

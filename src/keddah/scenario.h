@@ -43,10 +43,13 @@
 //   }
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "capture/trace.h"
+#include "core/sweep.h"
 #include "hadoop/cluster.h"
 #include "hadoop/joblog.h"
 #include "util/json.h"
@@ -116,5 +119,12 @@ struct ScenarioOutcome {
 
 /// Builds the cluster and runs the whole scenario to completion.
 ScenarioOutcome run_scenario(const ScenarioSpec& spec);
+
+/// Fans a batch of scenarios out across cores (core::SweepRunner) and
+/// returns their outcomes in spec order. `threads` 0 defers to the largest
+/// `threads` field among the specs (which itself defaults to 0 = hardware
+/// concurrency). Backs `keddah run-scenario --file a.json,b.json --threads N`.
+std::vector<ScenarioOutcome> run_scenarios(std::span<const ScenarioSpec> specs,
+                                           std::size_t threads = 0, SweepProgress progress = {});
 
 }  // namespace keddah::core

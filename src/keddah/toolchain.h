@@ -20,11 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "core/sweep.h"
 #include "gen/generator.h"
 #include "gen/replay.h"
 #include "hadoop/config.h"
 #include "keddah/compare.h"
-#include "keddah/sweep.h"
 #include "model/builder.h"
 #include "workloads/suite.h"
 

@@ -1,13 +1,10 @@
 #include "lint/archlint.h"
 
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <tuple>
 
@@ -18,10 +15,8 @@ namespace keddah::lint {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Source preparation. Like detlint's cleaner, with two differences: string
-// literals keep their quote characters (only the contents are blanked) so
-// the hot-string-concat rule can see `"..." + x`, and comments are harvested
-// for archlint:allow(<rule>): <justification> and keddah:hot markers.
+// Source preparation: the shared cleaner (lint/source.h), plus the markers
+// archlint harvests from comments and the quoted #includes.
 // ---------------------------------------------------------------------------
 
 struct HotMarker {
@@ -29,27 +24,13 @@ struct HotMarker {
   std::string label;
 };
 
-struct ASource {
-  std::string path;
-  std::string stem;
-  std::string clean;
-  std::vector<std::size_t> line_starts;
+struct ASource : CleanSource {
   /// line -> rule -> justification (empty when none was written).
   std::map<std::size_t, std::map<std::string, std::string>> allows;
-  std::set<std::size_t> comment_only_lines;
   std::vector<HotMarker> hot_markers;
   /// (1-based line, include path) for every quoted #include.
   std::vector<std::pair<std::size_t, std::string>> includes;
 };
-
-std::string path_stem(const std::string& path) {
-  return std::filesystem::path(path).stem().string();
-}
-
-std::size_t line_of(const ASource& src, std::size_t offset) {
-  const auto it = std::upper_bound(src.line_starts.begin(), src.line_starts.end(), offset);
-  return static_cast<std::size_t>(it - src.line_starts.begin());
-}
 
 void harvest_markers(const std::string& comment, std::size_t line, ASource& out) {
   static const std::regex allow_re(R"(archlint:allow\(([a-z][a-z-]*)\)(?::[ \t]*(.*))?)");
@@ -81,170 +62,16 @@ void harvest_includes(const std::string& text, ASource& out) {
   }
 }
 
-ASource clean_source(const std::string& path, const std::string& text) {
-  ASource out;
-  out.path = path;
-  out.stem = path_stem(path);
-  out.clean = text;
-  out.line_starts.push_back(0);
-  harvest_includes(text, out);
-
-  enum class State { kCode, kLineComment, kBlockComment, kString, kChar, kRawString };
-  State state = State::kCode;
-  std::string raw_delim;
-  std::string comment_buffer;
-  std::size_t comment_line = 1;
-  std::size_t line = 1;
-  std::map<std::size_t, bool> line_has_comment;
-  std::map<std::size_t, bool> line_has_code;
-
-  const auto flush_comment = [&] {
-    harvest_markers(comment_buffer, comment_line, out);
-    comment_buffer.clear();
-  };
-
-  std::string& s = out.clean;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    const char next = i + 1 < s.size() ? s[i + 1] : '\0';
-    if (c == '\n') {
-      if (state == State::kLineComment) {
-        flush_comment();
-        state = State::kCode;
-      }
-      out.line_starts.push_back(i + 1);
-      ++line;
-      continue;
-    }
-    switch (state) {
-      case State::kCode: {
-        if (c == '/' && next == '/') {
-          state = State::kLineComment;
-          comment_line = line;
-          line_has_comment[line] = true;
-          s[i] = s[i + 1] = ' ';
-          ++i;
-        } else if (c == '/' && next == '*') {
-          state = State::kBlockComment;
-          comment_line = line;
-          line_has_comment[line] = true;
-          s[i] = s[i + 1] = ' ';
-          ++i;
-        } else if (c == 'R' && next == '"' &&
-                   (i == 0 || (!std::isalnum(static_cast<unsigned char>(s[i - 1])) &&
-                               s[i - 1] != '_'))) {
-          // Raw string literal: blank it entirely but keep the quotes.
-          std::size_t j = i + 2;
-          raw_delim.clear();
-          while (j < s.size() && s[j] != '(') raw_delim += s[j++];
-          state = State::kRawString;
-          line_has_code[line] = true;
-          s[i] = ' ';  // the 'R'
-          if (i + 1 < s.size()) s[i + 1] = '"';
-          for (std::size_t k = i + 2; k <= j && k < s.size(); ++k) {
-            if (s[k] != '\n') s[k] = ' ';
-          }
-          i = j;
-        } else if (c == '"') {
-          state = State::kString;
-          line_has_code[line] = true;
-          // Keep the opening quote so concat patterns stay visible.
-        } else if (c == '\'' && i > 0 &&
-                   (std::isalnum(static_cast<unsigned char>(s[i - 1])) || s[i - 1] == '_')) {
-          line_has_code[line] = true;  // digit separator / suffix, not a char
-        } else if (c == '\'') {
-          state = State::kChar;
-          line_has_code[line] = true;
-          s[i] = ' ';
-        } else {
-          if (!std::isspace(static_cast<unsigned char>(c))) line_has_code[line] = true;
-        }
-        break;
-      }
-      case State::kLineComment:
-        comment_buffer += c;
-        s[i] = ' ';
-        break;
-      case State::kBlockComment:
-        if (c == '*' && next == '/') {
-          flush_comment();
-          state = State::kCode;
-          line_has_comment[line] = true;
-          s[i] = s[i + 1] = ' ';
-          ++i;
-        } else {
-          comment_buffer += c;
-          line_has_comment[line] = true;
-          s[i] = ' ';
-        }
-        break;
-      case State::kString:
-        if (c == '\\') {
-          s[i] = ' ';
-          if (next != '\n' && i + 1 < s.size()) s[++i] = ' ';
-        } else if (c == '"') {
-          state = State::kCode;  // keep the closing quote
-        } else {
-          s[i] = ' ';
-        }
-        break;
-      case State::kChar:
-        if (c == '\\') {
-          s[i] = ' ';
-          if (next != '\n' && i + 1 < s.size()) s[++i] = ' ';
-        } else if (c == '\'') {
-          state = State::kCode;
-          s[i] = ' ';
-        } else {
-          s[i] = ' ';
-        }
-        break;
-      case State::kRawString:
-        if (c == ')' && s.compare(i + 1, raw_delim.size(), raw_delim) == 0 &&
-            i + 1 + raw_delim.size() < s.size() && s[i + 1 + raw_delim.size()] == '"') {
-          const std::size_t end = i + 1 + raw_delim.size();
-          for (std::size_t k = i; k < end; ++k) {
-            if (s[k] != '\n') s[k] = ' ';
-          }
-          // s[end] is the closing quote; keep it.
-          i = end;
-          state = State::kCode;
-        } else if (c != '\n') {
-          s[i] = ' ';
-        }
-        break;
-    }
-  }
-  if (state == State::kLineComment || state == State::kBlockComment) flush_comment();
-
-  for (const auto& [ln, has_comment] : line_has_comment) {
-    if (has_comment && !line_has_code[ln]) out.comment_only_lines.insert(ln);
-  }
+ASource prepare(const SourceFile& file) {
+  ASource out{clean_source(file)};
+  for (const auto& [line, comment] : out.comments) harvest_markers(comment, line, out);
+  harvest_includes(file.text, out);
   return out;
 }
 
 // ---------------------------------------------------------------------------
 // Small lexical helpers shared by the passes.
 // ---------------------------------------------------------------------------
-
-/// Offset just past the `>` matching the `<` at `open`, or npos.
-std::size_t match_angle(const std::string& s, std::size_t open) {
-  int depth = 0;
-  for (std::size_t i = open; i < s.size(); ++i) {
-    if (s[i] == '<') ++depth;
-    if (s[i] == '>' && --depth == 0) return i + 1;
-  }
-  return std::string::npos;
-}
-
-std::size_t skip_space(const std::string& s, std::size_t i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  return i;
-}
-
-bool ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
 
 std::string read_ident(const std::string& s, std::size_t& i) {
   std::string out;
@@ -641,7 +468,7 @@ const std::vector<std::string>& archlint_rule_ids() {
 ArchlintReport archlint_sources(const std::vector<SourceFile>& sources, const LayerSpec& spec) {
   std::vector<ASource> cleaned;
   cleaned.reserve(sources.size());
-  for (const auto& file : sources) cleaned.push_back(clean_source(file.path, file.text));
+  for (const auto& file : sources) cleaned.push_back(prepare(file));
 
   Registry registry;
   for (const auto& src : cleaned) collect_symbols(src, registry);
@@ -987,39 +814,14 @@ util::Json ArchlintReport::to_json() const {
 
 ArchlintReport archlint_paths(const std::vector<std::string>& paths, const LayerSpec* spec) {
   namespace fs = std::filesystem;
-  const std::set<std::string> kExtensions = {".h", ".hpp", ".cc", ".cpp"};
-  std::vector<std::string> files;
   LayerSpec resolved = spec != nullptr ? *spec : default_layer_spec();
   for (const auto& path : paths) {
-    if (fs::is_directory(path)) {
-      if (spec == nullptr) {
-        const fs::path table = fs::path(path) / "layers.json";
-        if (fs::exists(table)) resolved = layer_spec_from_json(util::Json::load_file(table));
-      }
-      std::vector<std::string> dir_files;
-      for (const auto& entry : fs::recursive_directory_iterator(path)) {
-        if (!entry.is_regular_file()) continue;
-        if (kExtensions.count(entry.path().extension().string()) == 0) continue;
-        dir_files.push_back(entry.path().string());
-      }
-      std::sort(dir_files.begin(), dir_files.end());
-      files.insert(files.end(), dir_files.begin(), dir_files.end());
-    } else if (fs::exists(path)) {
-      files.push_back(path);
-    } else {
-      throw std::runtime_error("archlint: no such file or directory: " + path);
+    const fs::path table = fs::path(path) / "layers.json";
+    if (spec == nullptr && fs::is_directory(path) && fs::exists(table)) {
+      resolved = layer_spec_from_json(util::Json::load_file(table));
     }
   }
-  std::vector<SourceFile> sources;
-  sources.reserve(files.size());
-  for (const auto& file : files) {
-    std::ifstream in(file);
-    if (!in) throw std::runtime_error("archlint: cannot read " + file);
-    std::ostringstream text;
-    text << in.rdbuf();
-    sources.push_back(SourceFile{file, text.str()});
-  }
-  return archlint_sources(sources, resolved);
+  return archlint_sources(load_sources(paths), resolved);
 }
 
 }  // namespace keddah::lint

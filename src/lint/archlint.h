@@ -52,8 +52,8 @@
 #include <string>
 #include <vector>
 
-#include "lint/detlint.h"  // SourceFile
 #include "lint/diagnostic.h"
+#include "lint/source.h"
 #include "util/json.h"
 
 namespace keddah::lint {
@@ -140,10 +140,10 @@ const std::vector<std::string>& archlint_rule_ids();
 /// Scans the given sources as one program against `spec`.
 ArchlintReport archlint_sources(const std::vector<SourceFile>& sources, const LayerSpec& spec);
 
-/// Loads files and directories (recursing into *.h, *.hpp, *.cc, *.cpp in
-/// sorted order) and scans them together. When `spec` is null, uses a
-/// `layers.json` found directly inside a scanned directory if present,
-/// else default_layer_spec(). Unreadable paths throw std::runtime_error.
+/// Loads files and directories with load_sources() (lint/source.h) and
+/// scans them together. When `spec` is null, uses a `layers.json` found
+/// directly inside a scanned directory if present, else
+/// default_layer_spec(). Unreadable paths throw std::runtime_error.
 ArchlintReport archlint_paths(const std::vector<std::string>& paths,
                               const LayerSpec* spec = nullptr);
 

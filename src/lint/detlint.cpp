@@ -1,14 +1,9 @@
 #include "lint/detlint.h"
 
 #include <algorithm>
-#include <cctype>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <regex>
 #include <set>
-#include <sstream>
-#include <stdexcept>
 
 #include "lint/diagnostic.h"
 #include "util/strings.h"
@@ -16,183 +11,6 @@
 namespace keddah::lint {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Source preparation: blank comments and literals, harvest allow-comments.
-// ---------------------------------------------------------------------------
-
-/// A source file after lexical cleanup. `clean` is the original text with
-/// comments, string literals, and char literals replaced by spaces
-/// (newlines kept, so offsets map to the same lines). Allow-comments are
-/// harvested per line before blanking.
-struct CleanSource {
-  std::string path;
-  std::string stem;   ///< basename without extension, for header/impl pairing
-  std::string clean;
-  std::vector<std::size_t> line_starts;           ///< offset of each line start
-  std::map<std::size_t, std::set<std::string>> allows;  ///< line -> allowed rules
-  std::set<std::size_t> comment_only_lines;       ///< whole line is a comment
-};
-
-std::string path_stem(const std::string& path) {
-  return std::filesystem::path(path).stem().string();
-}
-
-std::size_t line_of(const CleanSource& src, std::size_t offset) {
-  const auto it = std::upper_bound(src.line_starts.begin(), src.line_starts.end(), offset);
-  return static_cast<std::size_t>(it - src.line_starts.begin());
-}
-
-/// Extracts every `detlint:allow(<rule>)` marker from one comment's text.
-void harvest_allows(const std::string& comment, std::size_t line,
-                    std::map<std::size_t, std::set<std::string>>& allows) {
-  static const std::regex allow_re(R"(detlint:allow\(([a-z][a-z-]*)\))");
-  for (auto it = std::sregex_iterator(comment.begin(), comment.end(), allow_re);
-       it != std::sregex_iterator(); ++it) {
-    allows[line].insert((*it)[1].str());
-  }
-}
-
-CleanSource clean_source(const std::string& path, const std::string& text) {
-  CleanSource out;
-  out.path = path;
-  out.stem = path_stem(path);
-  out.clean = text;
-  out.line_starts.push_back(0);
-
-  enum class State { kCode, kLineComment, kBlockComment, kString, kChar, kRawString };
-  State state = State::kCode;
-  std::string raw_delim;          // for R"delim( ... )delim"
-  std::string comment_buffer;     // text of the comment currently being read
-  std::size_t comment_line = 1;   // line the current comment started on
-  std::size_t line = 1;
-  // Per-line bookkeeping for comment_only_lines.
-  std::map<std::size_t, bool> line_has_comment;
-  std::map<std::size_t, bool> line_has_code;
-
-  const auto flush_comment = [&] {
-    harvest_allows(comment_buffer, comment_line, out.allows);
-    comment_buffer.clear();
-  };
-
-  std::string& s = out.clean;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    const char next = i + 1 < s.size() ? s[i + 1] : '\0';
-    if (c == '\n') {
-      if (state == State::kLineComment) {
-        flush_comment();
-        state = State::kCode;
-      }
-      out.line_starts.push_back(i + 1);
-      ++line;
-      continue;
-    }
-    switch (state) {
-      case State::kCode: {
-        if (c == '/' && next == '/') {
-          state = State::kLineComment;
-          comment_line = line;
-          line_has_comment[line] = true;
-          s[i] = s[i + 1] = ' ';
-          ++i;
-        } else if (c == '/' && next == '*') {
-          state = State::kBlockComment;
-          comment_line = line;
-          line_has_comment[line] = true;
-          s[i] = s[i + 1] = ' ';
-          ++i;
-        } else if (c == 'R' && next == '"' &&
-                   (i == 0 || (!std::isalnum(static_cast<unsigned char>(s[i - 1])) &&
-                               s[i - 1] != '_'))) {
-          // Raw string literal: R"delim( ... )delim".
-          std::size_t j = i + 2;
-          raw_delim.clear();
-          while (j < s.size() && s[j] != '(') raw_delim += s[j++];
-          state = State::kRawString;
-          line_has_code[line] = true;
-          for (std::size_t k = i; k <= j && k < s.size(); ++k) {
-            if (s[k] != '\n') s[k] = ' ';
-          }
-          i = j;
-        } else if (c == '"') {
-          state = State::kString;
-          line_has_code[line] = true;
-          s[i] = ' ';
-        } else if (c == '\'' && i > 0 &&
-                   (std::isalnum(static_cast<unsigned char>(s[i - 1])) || s[i - 1] == '_')) {
-          // Digit separator (1'000) or suffix position: not a char literal.
-          line_has_code[line] = true;
-        } else if (c == '\'') {
-          state = State::kChar;
-          line_has_code[line] = true;
-          s[i] = ' ';
-        } else {
-          if (!std::isspace(static_cast<unsigned char>(c))) line_has_code[line] = true;
-        }
-        break;
-      }
-      case State::kLineComment:
-        comment_buffer += c;
-        s[i] = ' ';
-        break;
-      case State::kBlockComment:
-        if (c == '*' && next == '/') {
-          flush_comment();
-          state = State::kCode;
-          line_has_comment[line] = true;
-          s[i] = s[i + 1] = ' ';
-          ++i;
-        } else {
-          comment_buffer += c;
-          line_has_comment[line] = true;
-          s[i] = ' ';
-        }
-        break;
-      case State::kString:
-        if (c == '\\') {
-          s[i] = ' ';
-          if (next != '\n' && i + 1 < s.size()) s[++i] = ' ';
-        } else if (c == '"') {
-          state = State::kCode;
-          s[i] = ' ';
-        } else {
-          s[i] = ' ';
-        }
-        break;
-      case State::kChar:
-        if (c == '\\') {
-          s[i] = ' ';
-          if (next != '\n' && i + 1 < s.size()) s[++i] = ' ';
-        } else if (c == '\'') {
-          state = State::kCode;
-          s[i] = ' ';
-        } else {
-          s[i] = ' ';
-        }
-        break;
-      case State::kRawString:
-        if (c == ')' && s.compare(i + 1, raw_delim.size(), raw_delim) == 0 &&
-            i + 1 + raw_delim.size() < s.size() && s[i + 1 + raw_delim.size()] == '"') {
-          const std::size_t end = i + 1 + raw_delim.size();
-          for (std::size_t k = i; k <= end; ++k) {
-            if (s[k] != '\n') s[k] = ' ';
-          }
-          i = end;
-          state = State::kCode;
-        } else if (c != '\n') {
-          s[i] = ' ';
-        }
-        break;
-    }
-  }
-  if (state == State::kLineComment || state == State::kBlockComment) flush_comment();
-
-  for (const auto& [ln, has_comment] : line_has_comment) {
-    if (has_comment && !line_has_code[ln]) out.comment_only_lines.insert(ln);
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Phase 1: symbol collection.
@@ -206,21 +24,6 @@ struct Registry {
   std::set<std::string> fns;                          ///< unordered-returning functions
 };
 
-/// Finds the offset just past the `>` matching the `<` at `open`.
-std::size_t match_angle(const std::string& s, std::size_t open) {
-  int depth = 0;
-  for (std::size_t i = open; i < s.size(); ++i) {
-    if (s[i] == '<') ++depth;
-    if (s[i] == '>' && --depth == 0) return i + 1;
-  }
-  return std::string::npos;
-}
-
-std::size_t skip_space(const std::string& s, std::size_t i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  return i;
-}
-
 /// Reads a (possibly qualified) identifier at `i`; returns its last
 /// component and advances `i` past it. Empty when `i` is not at one.
 std::string read_identifier(const std::string& s, std::size_t& i) {
@@ -228,10 +31,7 @@ std::string read_identifier(const std::string& s, std::size_t& i) {
   for (;;) {
     std::size_t j = i;
     std::string word;
-    while (j < s.size() &&
-           (std::isalnum(static_cast<unsigned char>(s[j])) || s[j] == '_')) {
-      word += s[j++];
-    }
+    while (j < s.size() && ident_char(s[j])) word += s[j++];
     if (word.empty()) return last;
     last = word;
     i = j;
@@ -301,9 +101,11 @@ const char* const kUnorderedIterHint =
     "order-insensitive use with // detlint:allow(unordered-iter)";
 
 /// Root identifier of a range expression: "net.topology().hosts_by_rack()"
-/// -> ("hosts_by_rack", was_call=true); "files_" -> ("files_", false).
+/// -> ("hosts_by_rack", was_call=true); "files_" -> ("files_", false). A
+/// call counts when its argument list is empty or only string literals,
+/// whose quotes survive cleaning: `lookup("key")` -> ("lookup", true).
 std::string range_root(const std::string& expr, bool* was_call) {
-  static const std::regex tail_re(R"(([A-Za-z_]\w*)\s*(\(\s*\))?\s*$)");
+  static const std::regex tail_re(R"(([A-Za-z_]\w*)\s*(\([\s"]*\))?\s*$)");
   std::smatch m;
   if (!std::regex_search(expr, m, tail_re)) return "";
   *was_call = m[2].matched;
@@ -315,12 +117,9 @@ void check_range_for(const CleanSource& src, const Registry& registry,
   const std::string& s = src.clean;
   std::size_t pos = 0;
   while ((pos = s.find("for", pos)) != std::string::npos) {
-    const bool word_start = pos == 0 || (!std::isalnum(static_cast<unsigned char>(s[pos - 1])) &&
-                                         s[pos - 1] != '_');
+    const bool word_start = pos == 0 || !ident_char(s[pos - 1]);
     const std::size_t after_kw = pos + 3;
-    const bool word_end = after_kw >= s.size() ||
-                          (!std::isalnum(static_cast<unsigned char>(s[after_kw])) &&
-                           s[after_kw] != '_');
+    const bool word_end = after_kw >= s.size() || !ident_char(s[after_kw]);
     if (!word_start || !word_end) {
       pos = after_kw;
       continue;
@@ -427,6 +226,19 @@ void check_regex_rule(const CleanSource& src, const std::regex& re, const char* 
   }
 }
 
+/// line -> rules named by a `detlint:allow(<rule>)` comment starting there.
+std::map<std::size_t, std::set<std::string>> harvest_allows(const CleanSource& src) {
+  static const std::regex allow_re(R"(detlint:allow\(([a-z][a-z-]*)\))");
+  std::map<std::size_t, std::set<std::string>> allows;
+  for (const auto& [line, comment] : src.comments) {
+    for (auto it = std::sregex_iterator(comment.begin(), comment.end(), allow_re);
+         it != std::sregex_iterator(); ++it) {
+      allows[line].insert((*it)[1].str());
+    }
+  }
+  return allows;
+}
+
 void check_file(const CleanSource& src, const Registry& registry, DetlintReport& report) {
   std::vector<Finding> findings;
   check_range_for(src, registry, findings);
@@ -462,12 +274,13 @@ void check_file(const CleanSource& src, const Registry& registry, DetlintReport&
   check_regex_rule(src, mutex_include_re, "bare-mutex", mutex_msg, mutex_hint, findings);
 
   // Dedupe (one finding per rule per line), then apply allow-comments.
+  const auto allows = harvest_allows(src);
   std::set<std::pair<std::size_t, std::string>> seen;
   for (const auto& f : findings) {
     if (!seen.insert({f.line, f.rule}).second) continue;
     const auto allowed = [&](std::size_t line) {
-      const auto it = src.allows.find(line);
-      return it != src.allows.end() && it->second.count(f.rule) != 0;
+      const auto it = allows.find(line);
+      return it != allows.end() && it->second.count(f.rule) != 0;
     };
     const bool same_line = allowed(f.line);
     const bool previous_comment_line =
@@ -495,7 +308,7 @@ const std::vector<std::string>& detlint_rule_ids() {
 DetlintReport detlint_sources(const std::vector<SourceFile>& sources) {
   std::vector<CleanSource> cleaned;
   cleaned.reserve(sources.size());
-  for (const auto& file : sources) cleaned.push_back(clean_source(file.path, file.text));
+  for (const auto& file : sources) cleaned.push_back(clean_source(file));
 
   Registry registry;
   for (const auto& src : cleaned) collect_symbols(src, registry);
@@ -505,43 +318,14 @@ DetlintReport detlint_sources(const std::vector<SourceFile>& sources) {
   report.files_scanned = cleaned.size();
   for (const auto& src : cleaned) check_file(src, registry, report);
   std::sort(report.diagnostics.begin(), report.diagnostics.end(),
-            [](const DetDiagnostic& a, const DetDiagnostic& b) {
+            [](const Diagnostic& a, const Diagnostic& b) {
               return std::tie(a.file, a.line, a.rule) < std::tie(b.file, b.line, b.rule);
             });
   return report;
 }
 
 DetlintReport detlint_paths(const std::vector<std::string>& paths) {
-  namespace fs = std::filesystem;
-  const std::set<std::string> kExtensions = {".h", ".hpp", ".cc", ".cpp"};
-  std::vector<std::string> files;
-  for (const auto& path : paths) {
-    if (fs::is_directory(path)) {
-      for (const auto& entry : fs::recursive_directory_iterator(path)) {
-        if (entry.is_regular_file() &&
-            kExtensions.count(entry.path().extension().string()) != 0) {
-          files.push_back(entry.path().string());
-        }
-      }
-    } else if (fs::is_regular_file(path)) {
-      files.push_back(path);
-    } else {
-      throw std::runtime_error("detlint: cannot read " + path);
-    }
-  }
-  std::sort(files.begin(), files.end());  // directory iteration order is unspecified
-  files.erase(std::unique(files.begin(), files.end()), files.end());
-
-  std::vector<SourceFile> sources;
-  sources.reserve(files.size());
-  for (const auto& file : files) {
-    std::ifstream in(file, std::ios::binary);
-    if (!in) throw std::runtime_error("detlint: cannot read " + file);
-    std::ostringstream text;
-    text << in.rdbuf();
-    sources.push_back(SourceFile{file, text.str()});
-  }
-  return detlint_sources(sources);
+  return detlint_sources(load_sources(paths));
 }
 
 }  // namespace keddah::lint

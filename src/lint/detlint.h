@@ -24,9 +24,10 @@
 // collects every unordered-container variable declaration and every
 // function whose declared return type is an unordered container (so a
 // member declared in foo.h is recognized when foo.cpp iterates it); phase
-// two re-walks the sources and reports hazards. Comments and string
-// literals are stripped before matching, so naming a pattern in a comment
-// or diagnostic string is not a finding.
+// two re-walks the sources and reports hazards. Both phases match against
+// the shared cleaner's output (lint/source.h): comments and the contents of
+// string and char literals are blanked first, so naming a pattern in a
+// comment or diagnostic string is not a finding.
 //
 // Escape hatch: `// detlint:allow(<rule>)` suppresses that rule on its own
 // line — or, when the comment stands alone on a line, on the line below.
@@ -40,16 +41,14 @@
 #include <vector>
 
 #include "lint/diagnostic.h"
+#include "lint/source.h"
 
 namespace keddah::lint {
 
-/// One determinism finding: the shared lint::Diagnostic with `line` + `rule`
-/// set ("file: line N: [rule] message (hint)" via the one formatter).
-using DetDiagnostic = Diagnostic;
-
-/// Result of one scan.
+/// Result of one scan. Each finding is a lint::Diagnostic with `line` and
+/// `rule` set ("file: line N: [rule] message (hint)" via the one formatter).
 struct DetlintReport {
-  std::vector<DetDiagnostic> diagnostics;  // sorted by (file, line, rule)
+  std::vector<Diagnostic> diagnostics;  // sorted by (file, line, rule)
   std::size_t files_scanned = 0;
   /// Findings silenced by detlint:allow comments.
   std::size_t suppressions_used = 0;
@@ -60,19 +59,11 @@ struct DetlintReport {
 /// The stable rule ids, sorted ("bare-mutex", "pointer-key", ...).
 const std::vector<std::string>& detlint_rule_ids();
 
-/// An in-memory source file. `path` scopes member lookups (foo.h pairs
-/// with foo.cpp by stem) and names diagnostics.
-struct SourceFile {
-  std::string path;
-  std::string text;
-};
-
 /// Scans the given sources as one program (two-phase; see file comment).
 DetlintReport detlint_sources(const std::vector<SourceFile>& sources);
 
-/// Loads files and directories (directories recurse into *.h, *.hpp, *.cc,
-/// *.cpp, visited in sorted order so output is deterministic) and scans
-/// them together. Unreadable paths throw std::runtime_error.
+/// Loads files and directories with load_sources() (lint/source.h) and
+/// scans them together. Unreadable paths throw std::runtime_error.
 DetlintReport detlint_paths(const std::vector<std::string>& paths);
 
 }  // namespace keddah::lint

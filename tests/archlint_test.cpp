@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "lint/archlint.h"
+#include "lint/detlint.h"
 
 namespace kl = keddah::lint;
 namespace fs = std::filesystem;
@@ -159,6 +160,23 @@ TEST(ArchlintSources, RepoSourcesScanCleanInStrictMode) {
   EXPECT_GE(report.hot_regions.size(), 5u);
   // And the columnar-arena inventory must have something to say.
   EXPECT_FALSE(report.pointer_heavy.empty());
+}
+
+// Overlapping arguments name some files twice. Each file must be scanned
+// once, so the report equals the plain scan of the outer directory.
+TEST(ArchlintSources, OverlappingPathsScanEachFileOnce) {
+  const std::string src = KEDDAH_SRC_DIR;
+  const std::string net = src + "/net";
+  EXPECT_EQ(kl::archlint_paths({src, net}).to_json().dump(),
+            kl::archlint_paths({src}).to_json().dump());
+
+  const kl::DetlintReport outer = kl::detlint_paths({src});
+  const kl::DetlintReport overlapped = kl::detlint_paths({src, net});
+  EXPECT_EQ(overlapped.files_scanned, outer.files_scanned);
+  ASSERT_EQ(overlapped.diagnostics.size(), outer.diagnostics.size());
+  for (std::size_t i = 0; i < outer.diagnostics.size(); ++i) {
+    EXPECT_EQ(overlapped.diagnostics[i].to_string(), outer.diagnostics[i].to_string());
+  }
 }
 
 }  // namespace

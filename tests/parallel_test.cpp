@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "keddah/scenario.h"
-#include "keddah/sweep.h"
 #include "keddah/toolchain.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"

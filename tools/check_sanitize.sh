@@ -40,7 +40,8 @@ cmake --build "${BUILD}" \
                hadoop_faults_test scenario_test invariant_audit_test \
                net_differential_test golden_trace_test net_property_test \
                gen_test toolchain_test mix_test \
-               spill_test api_test serve_test serve_chaos_test keddah \
+               spill_test api_test serve_test serve_chaos_test detlint_test \
+               archlint_test keddah \
                perf_scheduler perf_serve perf_scale perf_overload -j"$(nproc)"
 
 # The parallel subsystem, the network layer it drives concurrently, and the
@@ -54,8 +55,11 @@ cmake --build "${BUILD}" \
 # the fabric into one component: the dense solve path under the sanitizer.
 # Topology runs the anchor-keyed routing oracle (flat row storage, raw row
 # pointers) against its per-destination BFS reference.
+# Detlint|Archlint|LintSource drive the shared source cleaner, which walks
+# every file by index with look-ahead and look-behind, over the repo and
+# the seeded fixtures.
 ctest --test-dir "${BUILD}" --output-on-failure \
-      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Topology|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|ArenaChurn|Replay|ClosedLoopReplay'
+      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Topology|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|ArenaChurn|Replay|ClosedLoopReplay|Detlint|Archlint|LintSource'
 
 # A quick pass of the scheduler benchmark under the sanitizer: exercises
 # the incremental and reference schedulers back to back on all the

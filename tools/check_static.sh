@@ -16,7 +16,9 @@
 #      hazard must be fixed or carry a justified allow), and over the
 #      seeded-violation fixture directories in tests/fixtures/archlint
 #      (every declared `// expect:` rule must reproduce; `clean` fixtures
-#      must pass).
+#      must pass), then `--report=json src` from the repo root must match
+#      the committed ARCHLINT_INVENTORY.json byte for byte (regenerate it
+#      with that command when a change moves the inventory).
 #   5. clang-tidy over src/, if available (config in .clang-tidy).
 #   6. cppcheck over src/, if available (suppressions in
 #      tools/cppcheck.suppress).
@@ -124,6 +126,14 @@ for fixture in "${ROOT}"/tests/fixtures/archlint/*/; do
   done <<<"${expected}"
 done
 echo "all $(ls -d "${ROOT}"/tests/fixtures/archlint/*/ | wc -l) fixture dirs behaved as declared"
+
+echo "== stage 4c: ARCHLINT_INVENTORY.json is fresh =="
+if ! (cd "${ROOT}" && "${ARCHLINT}" --report=json src 2>/dev/null) |
+     diff -u "${ROOT}/ARCHLINT_INVENTORY.json" -; then
+  echo "FAIL: ARCHLINT_INVENTORY.json is stale; regenerate it from the repo root with" >&2
+  echo "      keddah-archlint --report=json src > ARCHLINT_INVENTORY.json" >&2
+  exit 1
+fi
 
 if command -v "${CLANG_TIDY}" >/dev/null 2>&1; then
   echo "== stage 5: clang-tidy (${CLANG_TIDY}) =="
