@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -30,8 +31,11 @@ constexpr std::uint32_t kFlagFinalized = 1u;
 
 }  // namespace
 
-SpillWriter::SpillWriter(const std::string& path, std::size_t initial_capacity)
-    : path_(path), arena_(util::MmapArena::create(path, initial_capacity)) {
+SpillWriter::SpillWriter(const std::string& path, std::vector<std::string> names,
+                         std::size_t initial_capacity)
+    : path_(path),
+      arena_(util::MmapArena::create(path, initial_capacity)),
+      names_(std::move(names)) {
   SpillHeader header{};
   std::memcpy(header.magic, kSpillMagic, sizeof kSpillMagic);
   header.version = kSpillVersion;
@@ -53,15 +57,12 @@ SpillWriter::~SpillWriter() {
 
 void SpillWriter::add(const FlowRecord& record) {
   if (finalized_) throw std::logic_error("spill: add() after finalize(): " + path_);
-  const auto intern = [this](const std::string& name) {
-    const auto [it, inserted] =
-        name_ids_.emplace(name, static_cast<std::uint32_t>(names_.size()));
-    if (inserted) names_.push_back(&it->first);
-    return it->second;
-  };
+  if (record.src_id >= names_.size() || record.dst_id >= names_.size()) {
+    const std::uint32_t id = record.src_id >= names_.size() ? record.src_id : record.dst_id;
+    throw std::out_of_range(util::format("spill: node %u past the %zu-name table: %s", id,
+                                         names_.size(), path_.c_str()));
+  }
   SpillRecord r{};
-  r.src_name = intern(record.src);
-  r.dst_name = intern(record.dst);
   r.src_id = record.src_id;
   r.dst_id = record.dst_id;
   r.src_port = record.src_port;
@@ -80,10 +81,10 @@ void SpillWriter::finalize() {
   const std::uint64_t table_offset = arena_.size();
   const auto table_count = static_cast<std::uint32_t>(names_.size());
   arena_.append(&table_count, sizeof table_count);
-  for (const std::string* name : names_) {
-    const auto len = static_cast<std::uint32_t>(name->size());
+  for (const std::string& name : names_) {
+    const auto len = static_cast<std::uint32_t>(name.size());
     arena_.append(&len, sizeof len);
-    arena_.append(name->data(), name->size());
+    arena_.append(name.data(), name.size());
   }
   SpillHeader header{};
   std::memcpy(header.magic, kSpillMagic, sizeof kSpillMagic);
@@ -167,6 +168,11 @@ SpillReader::SpillReader(const std::string& path)
     names_.emplace_back(reinterpret_cast<const char*>(arena_.data() + cursor), len);
     cursor += len;
   }
+  // finalize() shrinks the file to the end of the name table.
+  if (cursor != file_size) {
+    bad(path, util::format("%zu trailing bytes at offset %zu after the name table",
+                           file_size - cursor, cursor));
+  }
 }
 
 const SpillRecord* SpillReader::raw(std::uint64_t i) const {
@@ -177,16 +183,16 @@ const SpillRecord* SpillReader::raw(std::uint64_t i) const {
 FlowRecord SpillReader::record(std::uint64_t i) const {
   if (i >= count_) throw std::out_of_range("spill: record index out of range: " + arena_.path());
   const SpillRecord* b = raw(i);
-  if (b->src_name >= names_.size() || b->dst_name >= names_.size()) {
+  if (b->src_id >= names_.size() || b->dst_id >= names_.size()) {
     bad(arena_.path(),
-        util::format("record %llu at offset %llu references name %u of %zu",
+        util::format("record %llu at offset %llu references node %u past the %zu-name table",
                      static_cast<unsigned long long>(i),
                      static_cast<unsigned long long>(records_offset_ + i * sizeof(SpillRecord)),
-                     b->src_name >= names_.size() ? b->src_name : b->dst_name, names_.size()));
+                     b->src_id >= names_.size() ? b->src_id : b->dst_id, names_.size()));
   }
   FlowRecord r;
-  r.src = names_[b->src_name];
-  r.dst = names_[b->dst_name];
+  r.src = names_[b->src_id];
+  r.dst = names_[b->dst_id];
   r.src_id = net::NodeId(b->src_id);
   r.dst_id = net::NodeId(b->dst_id);
   r.src_port = b->src_port;

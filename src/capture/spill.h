@@ -13,18 +13,23 @@
 //   offset 16  u64      record count
 //   offset 24  u64      name-table offset (0 until finalize)
 //   offset 32  u8[32]   reserved (zero)
-//   offset 64  records  record_count x SpillRecord
+//   offset 64  records  record_count x 48-byte SpillRecord
 //   name table          u32 count, then per name: u32 length + bytes
+//
+// The name table is indexed by NodeId: entry i names node i of the captured
+// topology, and a record's src_id/dst_id are its keys. The writer takes the
+// table once, at construction, so appending a record copies 48 bytes and
+// looks nothing up.
 //
 // Crash semantics: the header's count/name-table fields are back-patched by
 // finalize(); a file whose name-table offset is still 0 was abandoned
 // mid-write and the reader rejects it (naming the offset) rather than
-// guessing at a record count. Node names are interned in insertion order,
-// matching the KDTR trace format's string table.
+// guessing at a record count. A file cut short anywhere after the header is
+// rejected naming the offset where its records or name table run out, and
+// one with bytes past the name table naming where they start.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -35,38 +40,40 @@
 namespace keddah::capture {
 
 inline constexpr char kSpillMagic[4] = {'K', 'S', 'P', 'L'};
-inline constexpr std::uint32_t kSpillVersion = 1;
+inline constexpr std::uint32_t kSpillVersion = 2;
 inline constexpr std::size_t kSpillHeaderBytes = 64;
 
-/// Fixed-width on-disk flow record (node names live in the name table).
-/// Field-for-field the KDTR BinaryRecord layout, so the two formats stay
-/// mutually convertible without precision loss.
+/// Fixed-width on-disk flow record; endpoint names live in the name table,
+/// keyed by src_id/dst_id.
 struct SpillRecord {
-  std::uint32_t src_name;
-  std::uint32_t dst_name;
   std::uint32_t src_id;
   std::uint32_t dst_id;
   std::uint16_t src_port;
   std::uint16_t dst_port;
   std::uint32_t job_id;
   std::uint8_t truth;
-  std::uint8_t pad[3];
+  std::uint8_t pad[7];
   double bytes;
   double start;
   double end;
 };
-static_assert(sizeof(SpillRecord) == 56, "spill record layout drifted");
+static_assert(sizeof(SpillRecord) == 48, "spill record layout drifted");
 
 /// Streams FlowRecords into a KSPL file through a growable mmap. finalize()
 /// (also run by the destructor) writes the name table and back-patches the
 /// header; until then the file on disk is marked unfinalized.
 class SpillWriter {
  public:
-  explicit SpillWriter(const std::string& path, std::size_t initial_capacity = 1u << 20);
+  /// `names[i]` names node i; every record added must have src_id and
+  /// dst_id below names.size(). A record's `src`/`dst` strings are not read.
+  SpillWriter(const std::string& path, std::vector<std::string> names,
+              std::size_t initial_capacity = 1u << 20);
   ~SpillWriter();
   SpillWriter(const SpillWriter&) = delete;
   SpillWriter& operator=(const SpillWriter&) = delete;
 
+  /// Appends one record. Throws std::out_of_range when an endpoint id is
+  /// past the name table.
   void add(const FlowRecord& record);
 
   std::uint64_t records() const { return count_; }
@@ -82,9 +89,7 @@ class SpillWriter {
   std::string path_;
   util::MmapArena arena_;
   std::uint64_t count_ = 0;
-  /// Insertion-ordered intern table (ids assigned first-seen, like KDTR).
-  std::map<std::string, std::uint32_t> name_ids_;
-  std::vector<const std::string*> names_;
+  std::vector<std::string> names_;
   bool finalized_ = false;
 };
 
@@ -97,13 +102,16 @@ class SpillReader {
   std::uint64_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
 
-  /// Decodes record `i` (bounds-checked; throws std::out_of_range).
+  /// Decodes record `i` (bounds-checked; throws std::out_of_range), naming
+  /// its endpoints from the name table. Throws std::runtime_error, naming the
+  /// record's offset, when an endpoint id is past the table.
   FlowRecord record(std::uint64_t i) const;
 
   /// Materializes the whole spill as an in-memory Trace, in record order.
   /// The result is bit-exact against the records the writer was fed.
   Trace to_trace() const;
 
+  /// The name table, indexed by NodeId.
   const std::vector<std::string>& names() const { return names_; }
 
  private:

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <fstream>
-#include <map>
 
 #include "util/strings.h"
 
@@ -181,134 +178,5 @@ Trace Trace::from_csv(const util::CsvTable& table) {
 void Trace::save(const std::string& path) const { to_csv().save(path); }
 
 Trace Trace::load(const std::string& path) { return from_csv(util::CsvTable::load(path)); }
-
-namespace {
-
-constexpr char kBinaryMagic[4] = {'K', 'D', 'T', 'R'};
-constexpr std::uint32_t kBinaryVersion = 1;
-
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof value);
-  if (!in) throw std::runtime_error("trace: truncated binary file");
-  return value;
-}
-
-void write_string(std::ostream& out, const std::string& s) {
-  write_pod(out, static_cast<std::uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string read_string(std::istream& in) {
-  const auto len = read_pod<std::uint32_t>(in);
-  if (len > (1u << 20)) throw std::runtime_error("trace: implausible string length");
-  std::string s(len, '\0');
-  in.read(s.data(), len);
-  if (!in) throw std::runtime_error("trace: truncated binary file");
-  return s;
-}
-
-/// Fixed-width on-disk record (node names live in the string table).
-struct BinaryRecord {
-  std::uint32_t src_name;
-  std::uint32_t dst_name;
-  std::uint32_t src_id;
-  std::uint32_t dst_id;
-  std::uint16_t src_port;
-  std::uint16_t dst_port;
-  std::uint32_t job_id;
-  std::uint8_t truth;
-  std::uint8_t pad[3];
-  double bytes;
-  double start;
-  double end;
-};
-static_assert(sizeof(BinaryRecord) == 56, "binary record layout drifted");
-
-}  // namespace
-
-void Trace::save_binary(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("trace: cannot write " + path);
-  out.write(kBinaryMagic, sizeof kBinaryMagic);
-  write_pod(out, kBinaryVersion);
-
-  // String table of unique node names.
-  std::map<std::string, std::uint32_t> name_ids;
-  std::vector<const std::string*> names;
-  auto intern = [&](const std::string& name) {
-    const auto [it, inserted] = name_ids.emplace(name, static_cast<std::uint32_t>(names.size()));
-    if (inserted) names.push_back(&it->first);
-    return it->second;
-  };
-  std::vector<BinaryRecord> records;
-  records.reserve(records_.size());
-  for (const auto& r : records_) {
-    BinaryRecord b{};
-    b.src_name = intern(r.src);
-    b.dst_name = intern(r.dst);
-    b.src_id = r.src_id;
-    b.dst_id = r.dst_id;
-    b.src_port = r.src_port;
-    b.dst_port = r.dst_port;
-    b.job_id = r.job_id;
-    b.truth = static_cast<std::uint8_t>(r.truth);
-    b.bytes = r.bytes;
-    b.start = r.start;
-    b.end = r.end;
-    records.push_back(b);
-  }
-  write_pod(out, static_cast<std::uint32_t>(names.size()));
-  for (const auto* name : names) write_string(out, *name);
-  write_pod(out, static_cast<std::uint64_t>(records.size()));
-  out.write(reinterpret_cast<const char*>(records.data()),
-            static_cast<std::streamsize>(records.size() * sizeof(BinaryRecord)));
-  if (!out) throw std::runtime_error("trace: write failed for " + path);
-}
-
-Trace Trace::load_binary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("trace: cannot open " + path);
-  char magic[4];
-  in.read(magic, sizeof magic);
-  if (!in || std::memcmp(magic, kBinaryMagic, sizeof magic) != 0) {
-    throw std::runtime_error("trace: not a KDTR file: " + path);
-  }
-  const auto version = read_pod<std::uint32_t>(in);
-  if (version != kBinaryVersion) {
-    throw std::runtime_error("trace: unsupported KDTR version " + std::to_string(version));
-  }
-  const auto num_names = read_pod<std::uint32_t>(in);
-  std::vector<std::string> names(num_names);
-  for (auto& name : names) name = read_string(in);
-  const auto count = read_pod<std::uint64_t>(in);
-  Trace trace;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto b = read_pod<BinaryRecord>(in);
-    if (b.src_name >= names.size() || b.dst_name >= names.size()) {
-      throw std::runtime_error("trace: corrupt string reference");
-    }
-    FlowRecord r;
-    r.src = names[b.src_name];
-    r.dst = names[b.dst_name];
-    r.src_id = net::NodeId(b.src_id);
-    r.dst_id = net::NodeId(b.dst_id);
-    r.src_port = b.src_port;
-    r.dst_port = b.dst_port;
-    r.job_id = b.job_id;
-    r.truth = static_cast<net::FlowKind>(b.truth);
-    r.bytes = b.bytes;
-    r.start = b.start;
-    r.end = b.end;
-    trace.add(std::move(r));
-  }
-  return trace;
-}
 
 }  // namespace keddah::capture

@@ -71,12 +71,6 @@ class Trace {
   void save(const std::string& path) const;
   static Trace load(const std::string& path);
 
-  /// Compact binary persistence ("KDTR" format: header + node-name string
-  /// table + 56-byte fixed-width records; smaller than CSV, parse-free to
-  /// load, and lossless for doubles). Throws std::runtime_error on I/O
-  /// errors or on malformed/mismatched files when loading.
-  void save_binary(const std::string& path) const;
-  static Trace load_binary(const std::string& path);
 
  private:
   std::vector<FlowRecord> records_;

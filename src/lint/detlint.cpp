@@ -1,6 +1,7 @@
 #include "lint/detlint.h"
 
 #include <algorithm>
+#include <cctype>
 #include <map>
 #include <regex>
 #include <set>
@@ -102,14 +103,29 @@ const char* const kUnorderedIterHint =
 
 /// Root identifier of a range expression: "net.topology().hosts_by_rack()"
 /// -> ("hosts_by_rack", was_call=true); "files_" -> ("files_", false). A
-/// call counts when its argument list is empty or only string literals,
-/// whose quotes survive cleaning: `lookup("key")` -> ("lookup", true).
+/// trailing argument list is bracket-matched back to the identifier before
+/// it, whatever it holds: `lookup(key)` -> ("lookup", true).
 std::string range_root(const std::string& expr, bool* was_call) {
-  static const std::regex tail_re(R"(([A-Za-z_]\w*)\s*(\([\s"]*\))?\s*$)");
-  std::smatch m;
-  if (!std::regex_search(expr, m, tail_re)) return "";
-  *was_call = m[2].matched;
-  return m[1].str();
+  constexpr const char* kSpace = " \t\r\n";
+  std::size_t end = expr.find_last_not_of(kSpace);
+  if (end == std::string::npos) return "";
+  *was_call = expr[end] == ')';
+  if (*was_call) {
+    int depth = 0;
+    std::size_t open = end + 1;
+    do {
+      --open;
+      if (expr[open] == ')') ++depth;
+      if (expr[open] == '(') --depth;
+    } while (depth > 0 && open > 0);
+    if (depth != 0 || open == 0) return "";
+    end = expr.find_last_not_of(kSpace, open - 1);
+    if (end == std::string::npos) return "";
+  }
+  std::size_t begin = end + 1;
+  while (begin > 0 && ident_char(expr[begin - 1])) --begin;
+  if (begin > end || std::isdigit(static_cast<unsigned char>(expr[begin])) != 0) return "";
+  return expr.substr(begin, end + 1 - begin);
 }
 
 void check_range_for(const CleanSource& src, const Registry& registry,

@@ -1,6 +1,7 @@
 #include "net/topology.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <limits>
 #include <stdexcept>
@@ -10,6 +11,10 @@
 namespace keddah::net {
 
 namespace {
+/// Equal-cost candidates one routing pass records; a wider hop (more than
+/// this many next hops at one distance) re-scans to find its pick.
+constexpr std::size_t kEcmpBuffer = 64;
+
 /// Deterministic 64-bit mix for ECMP next-hop selection.
 std::uint64_t mix(std::uint64_t x) {
   x ^= x >> 33;
@@ -19,6 +24,28 @@ std::uint64_t mix(std::uint64_t x) {
   x ^= x >> 33;
   return x;
 }
+
+/// The (h % count)-th of the `count` indices in [begin, end) that
+/// `is_candidate` accepts. One pass counts the candidates and records them
+/// in a stack buffer; only a hop with more candidates than the buffer holds
+/// scans again for its pick.
+template <typename Candidate>
+std::uint32_t pick_arc(std::uint32_t begin, std::uint32_t end, std::uint64_t h,
+                       Candidate is_candidate) {
+  std::array<std::uint32_t, kEcmpBuffer> seen;
+  std::size_t count = 0;
+  for (std::uint32_t e = begin; e < end; ++e) {
+    if (!is_candidate(e)) continue;
+    if (count < seen.size()) seen[count] = e;
+    ++count;
+  }
+  assert(count > 0);
+  std::size_t skip = h % count;
+  if (skip < seen.size()) return seen[skip];
+  for (std::uint32_t e = begin;; ++e) {
+    if (is_candidate(e) && skip-- == 0) return e;
+  }
+}
 }  // namespace
 
 NodeId Topology::add_node(const std::string& name, int rack, bool is_switch) {
@@ -27,6 +54,7 @@ NodeId Topology::add_node(const std::string& name, int rack, bool is_switch) {
   nodes_.push_back(Node{id, name, rack, is_switch});
   adjacency_.emplace_back();
   by_name_[name] = id;
+  routing_built_ = false;
   return id;
 }
 
@@ -46,7 +74,7 @@ LinkId Topology::add_link(NodeId a, NodeId b, util::Rate capacity, util::Seconds
   links_.push_back(Link{id, a, b, capacity, latency});
   adjacency_[a].emplace_back(b, Arc{id, 0});
   adjacency_[b].emplace_back(a, Arc{id, 1});
-  row_slot_.clear();  // invalidate memoized BFS rows
+  routing_built_ = false;
   return id;
 }
 
@@ -93,42 +121,65 @@ std::map<int, std::vector<NodeId>> Topology::hosts_by_rack() const {
   return out;
 }
 
-Topology::DistanceTo Topology::dist_to(NodeId dst) const {
-  const auto& adj = adjacency_[dst];
-  NodeId anchor = adj.empty() ? dst : adj.front().first;
-  for (const auto& [v, arc] : adj) {
-    (void)arc;
-    if (v != anchor) {
-      anchor = dst;
-      break;
+void Topology::build_routing_index() const {
+  const std::size_t n = nodes_.size();
+  // sole[u]: the one neighbour all of u's links lead to, if there is one.
+  std::vector<NodeId> sole(n, kInvalidNode);
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto& adj = adjacency_[u];
+    if (adj.empty()) continue;
+    const NodeId first = adj.front().first;
+    if (std::all_of(adj.begin(), adj.end(), [first](const auto& e) { return e.first == first; })) {
+      sole[u] = first;
     }
   }
-  return DistanceTo{row(anchor), dst, anchor == dst ? 0 : 1};
+  const auto is_leaf = [&sole](std::size_t u) {
+    return sole[u] != kInvalidNode && sole[sole[u]] == kInvalidNode;
+  };
+  places_.assign(n, Place{0, 0});
+  transit_nodes_.clear();
+  for (std::size_t u = 0; u < n; ++u) {
+    if (is_leaf(u)) continue;
+    places_[u] = Place{static_cast<std::uint32_t>(transit_nodes_.size()), 0};
+    transit_nodes_.push_back(NodeId(static_cast<std::uint32_t>(u)));
+  }
+  for (std::size_t u = 0; u < n; ++u) {
+    if (is_leaf(u)) places_[u] = Place{places_[sole[u]].transit, 1};
+  }
+  transit_begin_.assign(n + 1, 0);
+  transit_arcs_.clear();
+  for (std::size_t u = 0; u < n; ++u) {
+    transit_begin_[u] = static_cast<std::uint32_t>(transit_arcs_.size());
+    for (const auto& [v, arc] : adjacency_[u]) {
+      if (places_[v].leaf == 0) transit_arcs_.push_back(TransitArc{places_[v].transit, v, arc});
+    }
+  }
+  transit_begin_[n] = static_cast<std::uint32_t>(transit_arcs_.size());
+  row_slot_.assign(transit_nodes_.size(), -1);
+  rows_.clear();
+  routing_built_ = true;
 }
 
-const std::int16_t* Topology::row(NodeId anchor) const {
-  const std::size_t n = nodes_.size();
-  if (row_slot_.size() != n) {  // first query since the graph changed
-    row_slot_.assign(n, -1);
-    rows_.clear();
-  }
+const std::int16_t* Topology::row(std::uint32_t anchor) const {
   std::int32_t& slot = row_slot_[anchor];
   if (slot >= 0) return rows_[static_cast<std::size_t>(slot)].data();
   slot = static_cast<std::int32_t>(rows_.size());
-  std::vector<std::int16_t>& dist = rows_.emplace_back(n, -1);
-  std::vector<NodeId> frontier;
-  frontier.reserve(n);
+  const std::size_t width = transit_nodes_.size();
+  std::vector<std::int16_t>& dist = rows_.emplace_back(width, -1);
+  std::vector<std::uint32_t> frontier;
+  frontier.reserve(width);
   dist[anchor] = 0;
   frontier.push_back(anchor);
   for (std::size_t i = 0; i < frontier.size(); ++i) {
-    const NodeId u = frontier[i];
-    if (dist[u] == std::numeric_limits<std::int16_t>::max()) {
+    const std::uint32_t t = frontier[i];
+    if (dist[t] == std::numeric_limits<std::int16_t>::max()) {
       throw std::runtime_error("topology: diameter overflows the int16 distance cache");
     }
-    for (const auto& [v, arc] : adjacency_[u]) {
-      (void)arc;
+    const NodeId u = transit_nodes_[t];
+    for (std::uint32_t e = transit_begin_[u]; e < transit_begin_[u + 1]; ++e) {
+      const std::uint32_t v = transit_arcs_[e].transit;
       if (dist[v] < 0) {
-        dist[v] = static_cast<std::int16_t>(dist[u] + 1);
+        dist[v] = static_cast<std::int16_t>(dist[t] + 1);
         frontier.push_back(v);
       }
     }
@@ -140,37 +191,46 @@ std::vector<Arc> Topology::route(NodeId src, NodeId dst, std::uint64_t flow_key)
   if (src >= nodes_.size() || dst >= nodes_.size()) throw std::out_of_range("topology: bad node id");
   std::vector<Arc> path;
   if (src == dst) return path;  // loopback: no network arcs
-  const DistanceTo dist = dist_to(dst);
-  const int hops = dist(src);
+  if (!routing_built_) build_routing_index();
+  const Place to = places_[dst];
+  const std::int16_t* dist = row(to.transit);
+  const int hops = hop_count(places_[src], to, dist);
   if (hops < 0) {
     throw std::runtime_error("topology: no path " + nodes_[src].name + " -> " + nodes_[dst].name);
   }
   path.reserve(static_cast<std::size_t>(hops));
   NodeId here = src;
   for (int hop = 0; hop < hops; ++hop) {
-    // Equal-cost next hops are the neighbours one hop closer. Count them,
-    // then take the (h % count)-th in adjacency order: the arc a
-    // materialized candidate list would yield, without building one.
-    const int closer = hops - hop - 1;
-    const auto& adj = adjacency_[here];
-    std::size_t count = 0;
-    for (const auto& [v, arc] : adj) {
-      (void)arc;
-      if (dist(v) == closer) ++count;
-    }
-    assert(count > 0);
     // Hash-based per-flow ECMP: stable for one flow, spread across flows.
+    // The next hop is the (h % count)-th equal-cost arc in adjacency order.
     const std::uint64_t h =
         mix(flow_key ^ mix((static_cast<std::uint64_t>(src) << 40) ^
                            (static_cast<std::uint64_t>(dst) << 20) ^
                            static_cast<std::uint64_t>(hop)));
-    std::size_t skip = h % count;
-    for (const auto& [v, arc] : adj) {
-      if (dist(v) != closer || skip-- != 0) continue;
-      path.push_back(arc);
-      here = v;
+    if (hop + 1 == hops && to.leaf != 0) {
+      // Last hop into a leaf: its arcs all lead to `here`, and both ends
+      // list a node pair's links in creation order, so the leaf's own arcs,
+      // reversed, are the candidates in `here`'s adjacency order.
+      const auto& adj = adjacency_[dst];
+      const Arc back = adj[h % adj.size()].second;
+      path.push_back(Arc{back.link, static_cast<std::uint8_t>(back.dir ^ 1u)});
       break;
     }
+    // Any other hop goes to a transit neighbour one hop closer: a leaf
+    // neighbour other than dst is one hop *further*, its only way on being
+    // back through `here`. The last hop takes the arcs to dst itself, so
+    // parallel links stay distinct candidates.
+    const TransitArc* arcs = transit_arcs_.data();
+    const std::uint32_t begin = transit_begin_[here];
+    const std::uint32_t end = transit_begin_[here + 1];
+    const int want = hops - hop - 1 - static_cast<int>(to.leaf);
+    const std::uint32_t next =
+        hop + 1 == hops
+            ? pick_arc(begin, end, h, [arcs, dst](std::uint32_t e) { return arcs[e].to == dst; })
+            : pick_arc(begin, end, h,
+                       [arcs, dist, want](std::uint32_t e) { return dist[arcs[e].transit] == want; });
+    path.push_back(arcs[next].arc);
+    here = arcs[next].to;
   }
   return path;
 }
@@ -183,7 +243,17 @@ util::Seconds Topology::path_latency(const std::vector<Arc>& path) const {
 
 int Topology::distance(NodeId src, NodeId dst) const {
   if (src >= nodes_.size() || dst >= nodes_.size()) throw std::out_of_range("topology: bad node id");
-  return dist_to(dst)(src);
+  if (src == dst) return 0;
+  if (!routing_built_) build_routing_index();
+  const Place to = places_[dst];
+  return hop_count(places_[src], to, row(to.transit));
+}
+
+int Topology::hop_count(Place from, Place to, const std::int16_t* to_row) {
+  // A leaf sits one hop beyond its anchor, and every path into or out of it
+  // passes that anchor, so the anchors' transit distance is exact.
+  const int d = to_row[from.transit];
+  return d < 0 ? -1 : d + static_cast<int>(from.leaf + to.leaf);
 }
 
 bool Topology::same_rack(NodeId a, NodeId b) const {

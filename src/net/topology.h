@@ -119,48 +119,62 @@ class Topology {
   NodeId arc_to(Arc arc) const;
 
  private:
-  /// Hop distances to one destination: 0 at `dst` itself, otherwise the
-  /// anchor's BFS row plus `offset`, and -1 where the row says unreachable.
-  struct DistanceTo {
-    const std::int16_t* row;
-    NodeId dst;
-    int offset;
-
-    int operator()(NodeId v) const {
-      if (v == dst) return 0;
-      const int d = row[v];
-      return d < 0 ? -1 : d + offset;
-    }
+  /// Where a node sits in the routing index. A *leaf* is a node whose every
+  /// link leads to one neighbour that is not itself a leaf (a host under its
+  /// edge switch); every other node is *transit*. `transit` is the dense
+  /// transit index of the node itself, or of its anchor for a leaf; `leaf`
+  /// is the one extra hop from a leaf to that anchor.
+  struct Place {
+    std::uint32_t transit;
+    std::uint32_t leaf;
   };
 
-  /// The one hop-distance oracle behind route() and distance(). A
-  /// destination whose every link leads to one node (a leaf host under its
-  /// edge switch) is anchored at that node and answered from its row plus
-  /// one hop, which is exact because every path into a leaf passes through
-  /// its neighbour. Any other destination (a switch, a multi-homed or
-  /// isolated host) is its own anchor. A k=36 fat-tree thus needs 648
-  /// host-facing rows, not 11,664.
-  DistanceTo dist_to(NodeId dst) const;
+  /// An arc to a transit neighbour, with that neighbour's transit index.
+  struct TransitArc {
+    std::uint32_t transit;
+    NodeId to;
+    Arc arc;
+  };
 
-  /// BFS distances from every node to `anchor`, built on first use. Entries
-  /// are int16_t: any real topology's diameter fits with five orders of
-  /// magnitude to spare, and BFS throws if a distance would overflow. The
-  /// pointer stays valid until the graph changes.
-  const std::int16_t* row(NodeId anchor) const;
+  /// Builds places_ and the transit adjacency on the first query after the
+  /// graph changes, and drops every memoized row.
+  void build_routing_index() const;
+
+  /// BFS hop distances from every transit node to transit node `anchor`,
+  /// indexed by transit index and built on first use. A shortest path
+  /// between transit nodes never enters a leaf (a leaf is a dead end), so
+  /// the BFS walks transit arcs only and a k=36 fat-tree row has 2,916
+  /// entries, not 13,284. Entries are int16_t: any real topology's diameter
+  /// fits with five orders of magnitude to spare, and BFS throws if a
+  /// distance would overflow. The pointer stays valid until the graph
+  /// changes.
+  const std::int16_t* row(std::uint32_t anchor) const;
+
+  /// Hop distance between two distinct nodes at `from` and `to`, given the
+  /// row of `to`'s anchor; -1 when unreachable.
+  static int hop_count(Place from, Place to, const std::int16_t* to_row);
 
   NodeId add_node(const std::string& name, int rack, bool is_switch);
 
   std::vector<Node> nodes_;
   std::vector<Link> links_;
-  /// adjacency_[n] = list of (neighbor, arc leaving n).
+  /// adjacency_[n] = list of (neighbor, arc leaving n), in link-creation
+  /// order.
   std::vector<std::vector<std::pair<NodeId, Arc>>> adjacency_;
   std::unordered_map<std::string, NodeId> by_name_;
-  /// row_slot_[anchor] indexes the anchor's num_nodes()-wide row in rows_,
-  /// or is -1 while unbuilt; both reset whenever the graph changes. Rows are
-  /// separate row-sized blocks rather than one contiguous array: a block of
-  /// tens of MB is mmap'd and handed back to the OS when the topology dies,
-  /// so a process that builds network after network would page-fault its
-  /// next set-up back in.
+
+  /// Routing index, rebuilt lazily after any add_node/add_link.
+  mutable bool routing_built_ = false;
+  mutable std::vector<Place> places_;
+  /// Transit node of each transit index.
+  mutable std::vector<NodeId> transit_nodes_;
+  /// CSR transit adjacency: node n's arcs to transit neighbours are
+  /// transit_arcs_[transit_begin_[n] .. transit_begin_[n + 1]), in adjacency
+  /// order. A leaf keeps all its arcs (they all go to its anchor).
+  mutable std::vector<std::uint32_t> transit_begin_;
+  mutable std::vector<TransitArc> transit_arcs_;
+  /// row_slot_[t] indexes transit node t's row in rows_, or is -1 while
+  /// unbuilt: only anchors that are routed to get a row.
   mutable std::vector<std::int32_t> row_slot_;
   mutable std::vector<std::vector<std::int16_t>> rows_;
 };

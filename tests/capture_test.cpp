@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 
 #include "capture/collector.h"
 #include "capture/trace.h"
@@ -234,65 +232,4 @@ TEST(Collector, TakeResetsState) {
   const auto taken = collector.take();
   EXPECT_EQ(taken.size(), 1u);
   EXPECT_EQ(collector.trace().size(), 0u);
-}
-
-TEST(Trace, BinaryRoundTrip) {
-  kc::Trace trace;
-  for (int i = 0; i < 100; ++i) {
-    auto r = make_record(kn::ports::kShuffle, 40000, 1000.0 + i, 0.1 * i, 0.1 * i + 1.0,
-                         static_cast<std::uint32_t>(i % 3));
-    r.truth = kn::FlowKind::kShuffle;
-    r.src = "host" + std::to_string(i % 5);
-    r.dst = "host" + std::to_string((i + 1) % 5);
-    trace.add(r);
-  }
-  const std::string path = ::testing::TempDir() + "/keddah_trace.kdtr";
-  trace.save_binary(path);
-  const auto loaded = kc::Trace::load_binary(path);
-  ASSERT_EQ(loaded.size(), trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(loaded[i].src, trace[i].src);
-    EXPECT_EQ(loaded[i].dst, trace[i].dst);
-    EXPECT_DOUBLE_EQ(loaded[i].bytes, trace[i].bytes);
-    EXPECT_DOUBLE_EQ(loaded[i].start, trace[i].start);
-    EXPECT_DOUBLE_EQ(loaded[i].end, trace[i].end);
-    EXPECT_EQ(loaded[i].job_id, trace[i].job_id);
-    EXPECT_EQ(loaded[i].truth, trace[i].truth);
-    EXPECT_EQ(loaded[i].src_port, trace[i].src_port);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Trace, BinaryRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/keddah_trace_garbage.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "definitely not a KDTR file";
-  }
-  EXPECT_THROW(kc::Trace::load_binary(path), std::runtime_error);
-  EXPECT_THROW(kc::Trace::load_binary("/nonexistent/file.kdtr"), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(Trace, BinaryEmptyTrace) {
-  const std::string path = ::testing::TempDir() + "/keddah_trace_empty.kdtr";
-  kc::Trace().save_binary(path);
-  EXPECT_EQ(kc::Trace::load_binary(path).size(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(Trace, BinarySmallerThanCsv) {
-  kc::Trace trace;
-  for (int i = 0; i < 2000; ++i) {
-    trace.add(make_record(kn::ports::kShuffle, 40000, 1234567.0 + i, i * 0.001, i * 0.001 + 0.5));
-  }
-  const std::string csv_path = ::testing::TempDir() + "/keddah_size.csv";
-  const std::string bin_path = ::testing::TempDir() + "/keddah_size.kdtr";
-  trace.save(csv_path);
-  trace.save_binary(bin_path);
-  const auto csv_size = std::filesystem::file_size(csv_path);
-  const auto bin_size = std::filesystem::file_size(bin_path);
-  EXPECT_LT(bin_size, csv_size);
-  std::remove(csv_path.c_str());
-  std::remove(bin_path.c_str());
 }

@@ -162,6 +162,26 @@ TEST(DetlintSources, RangeForOverCallWithLiteralArgument) {
   EXPECT_EQ(report.diagnostics[0].rule, "unordered-iter");
 }
 
+// A call whose arguments are identifiers, nested calls or member reads is
+// bracket-matched back to its name, so it is still a call to the registered
+// unordered-returning function. A bare parenthesized range is not a call.
+TEST(DetlintSources, RangeForOverCallWithArguments) {
+  const kl::DetlintReport report = kl::detlint_sources({{"demo.cpp",
+      "std::unordered_map<int, int> lookup(int key);\n"
+      "int sum(int key, const S& s) {\n"
+      "  int t = 0;\n"
+      "  for (const auto& [k, v] : lookup(key)) t += v;\n"
+      "  for (const auto& [k, v] : lookup( s.id(key) )) t += v;\n"
+      "  for (const auto& [k, v] : ordered(key)) t += v;\n"
+      "  for (const auto& v : (key)) t += v;\n"
+      "  return t;\n"
+      "}\n"}});
+  ASSERT_EQ(report.diagnostics.size(), 2u);
+  EXPECT_EQ(report.diagnostics[0].line, 4u);
+  EXPECT_EQ(report.diagnostics[1].line, 5u);
+  EXPECT_EQ(report.diagnostics[0].rule, "unordered-iter");
+}
+
 // The contract the CI gate enforces: the shipped sources carry zero
 // unsuppressed determinism hazards.
 TEST(DetlintSources, RepoSourcesScanClean) {

@@ -360,4 +360,52 @@ TEST(Topology, RoutesMatchPerDestinationBfsReference) {
   std::set<kn::LinkId> last_links;
   for (std::uint64_t key = 0; key < 32; ++key) last_links.insert(t.route(h0, parallel, key).back().link);
   EXPECT_EQ(last_links.size(), 2u);
+
+  // Graphs with no leaves: two hosts wired to each other (each is the other's
+  // only neighbour), and a star with a single host.
+  kn::Topology pair;
+  const auto a = pair.add_host("a", 0);
+  const auto b = pair.add_host("b", 0);
+  pair.add_link(a, b, ku::Rate::bps(1e9), ku::Seconds(1e-5));
+  pair.add_link(b, a, ku::Rate::bps(1e9), ku::Seconds(1e-5));
+  expect_routes_match_reference(pair, "two hosts back to back");
+  EXPECT_EQ(pair.distance(a, b), 1);
+  expect_routes_match_reference(kn::make_star(1, 1e9, 1e-4), "one-host star");
+
+  // Routing, then growing the graph, then routing again: the memoized rows
+  // and the leaf/transit split must follow the new links. h0 stops being a
+  // leaf once it is dual-homed, and a new switch opens a shorter path.
+  kn::Topology grown = kn::make_rack_tree(2, 2, 1e9, 1e10, 1e-4);
+  expect_routes_match_reference(grown, "rack tree before add_link");
+  EXPECT_EQ(grown.distance(grown.find("h0"), grown.find("h2")), 4);
+  grown.add_link(grown.find("h0"), grown.find("tor1"), ku::Rate::bps(1e9), ku::Seconds(1e-5));
+  expect_routes_match_reference(grown, "rack tree after add_link");
+  EXPECT_EQ(grown.distance(grown.find("h0"), grown.find("h2")), 2);
+  const auto bridge = grown.add_switch("bridge");
+  grown.add_link(bridge, grown.find("h1"), ku::Rate::bps(1e9), ku::Seconds(1e-5));
+  expect_routes_match_reference(grown, "rack tree after add_switch");
+  grown.add_link(bridge, grown.find("h3"), ku::Rate::bps(1e9), ku::Seconds(1e-5));
+  expect_routes_match_reference(grown, "rack tree with a bridge");
+  EXPECT_EQ(grown.distance(grown.find("h1"), grown.find("h3")), 2);
+
+  // Wide ECMP: 100 equal-cost middle switches between two edge switches,
+  // more next hops than one routing pass records, so the re-scan picks them.
+  kn::Topology wide;
+  const auto left = wide.add_switch("left");
+  const auto right = wide.add_switch("right");
+  for (std::size_t m = 0; m < 100; ++m) {
+    const auto mid = wide.add_switch("mid" + std::to_string(m));
+    wide.add_link(left, mid, ku::Rate::bps(1e9), ku::Seconds(1e-5));
+    wide.add_link(mid, right, ku::Rate::bps(1e9), ku::Seconds(1e-5));
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    const auto h = wide.add_host("h" + std::to_string(i), static_cast<int>(i / 2));
+    wide.add_link(h, i < 2 ? left : right, ku::Rate::bps(1e9), ku::Seconds(1e-5));
+  }
+  expect_routes_match_reference(wide, "wide ECMP");
+  std::set<kn::LinkId> middle_links;
+  for (std::uint64_t key = 0; key < 2000; ++key) {
+    middle_links.insert(wide.route(wide.find("h0"), wide.find("h3"), key)[1].link);
+  }
+  EXPECT_GT(middle_links.size(), 64u);  // picks beyond the recorded prefix
 }

@@ -1,17 +1,20 @@
-// Tests for the KSPL spill path (capture/spill.h): bit-exact round trips
-// through the mmap'd writer/reader, precise byte-offset-naming rejection of
-// corrupted or abandoned files, and — the property the whole feature rests
+// Tests for the KSPL spill path (capture/spill.h), the one binary trace
+// format: bit-exact round trips through the mmap'd writer/reader and the
+// collector, precise byte-offset-naming rejection of garbage, corrupted,
+// truncated or abandoned files, and — the property the whole feature rests
 // on — a spilled capture being indistinguishable from the in-memory Trace
 // the collector would otherwise have accumulated.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "capture/collector.h"
@@ -19,10 +22,12 @@
 #include "gen/replay.h"
 #include "net/topology.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace kc = keddah::capture;
 namespace kg = keddah::gen;
 namespace kn = keddah::net;
+namespace ks = keddah::sim;
 namespace ku = keddah::util;
 namespace fs = std::filesystem;
 
@@ -35,13 +40,13 @@ std::string scratch(const std::string& name) {
   return (dir / name).string();
 }
 
-kc::FlowRecord record(const std::string& src, const std::string& dst, double bytes,
-                      double start, double end, std::uint32_t job = 7) {
+/// A record between node ids `src` and `dst`; the writer names endpoints
+/// from its own table, so the record's name strings stay empty.
+kc::FlowRecord record(std::uint32_t src, std::uint32_t dst, double bytes, double start,
+                      double end, std::uint32_t job = 7) {
   kc::FlowRecord r;
-  r.src = src;
-  r.dst = dst;
-  r.src_id = kn::NodeId(3);
-  r.dst_id = kn::NodeId(9);
+  r.src_id = kn::NodeId(src);
+  r.dst_id = kn::NodeId(dst);
   r.src_port = kn::ports::kShuffle;
   r.dst_port = kn::ports::kEphemeralBase;
   r.bytes = bytes;
@@ -50,6 +55,13 @@ kc::FlowRecord record(const std::string& src, const std::string& dst, double byt
   r.job_id = job;
   r.truth = kn::FlowKind::kShuffle;
   return r;
+}
+
+/// "h0" .. "h<n-1>": the name table of an n-node topology.
+std::vector<std::string> host_names(std::size_t n) {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < n; ++i) names.push_back("h" + std::to_string(i));
+  return names;
 }
 
 /// Patches `n` raw bytes at `offset` in a finalized spill file.
@@ -64,14 +76,50 @@ void patch(const std::string& path, std::size_t offset, const void* bytes, std::
 std::string write_sample(const std::string& name, std::size_t records = 3) {
   const std::string path = scratch(name);
   fs::remove(path);
-  kc::SpillWriter writer(path, /*initial_capacity=*/256);  // forces arena growth
+  // 256 bytes forces arena growth.
+  kc::SpillWriter writer(path, host_names(5), /*initial_capacity=*/256);
   for (std::size_t i = 0; i < records; ++i) {
-    writer.add(record("h" + std::to_string(i % 2), "h" + std::to_string(2 + i % 3),
+    writer.add(record(static_cast<std::uint32_t>(i % 2), static_cast<std::uint32_t>(2 + i % 3),
                       1e6 * static_cast<double>(i + 1), 0.25 * static_cast<double>(i),
                       0.25 * static_cast<double>(i) + 1.5));
   }
   writer.finalize();
   return path;
+}
+
+/// The message SpillReader(path) rejects the file with, or "" when it opens.
+std::string open_error(const std::string& path) {
+  try {
+    kc::SpillReader reader(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Captures 100 flows with varied ports, jobs and classes on a 2x4 rack
+/// tree: in memory when `spill_dir` is empty, otherwise spilled there and
+/// read back through SpillReader.
+kc::Trace capture_sample(const std::string& spill_dir) {
+  ks::Simulator sim;
+  kn::Network net(sim, kn::make_rack_tree(2, 4, 1e9, 10e9, 1e-4));
+  kc::CollectorOptions options;
+  options.spill_dir = spill_dir;
+  kc::FlowCollector collector(net, options);
+  const auto hosts = net.topology().hosts();
+  for (std::size_t i = 0; i < 100; ++i) {
+    kn::FlowMeta meta;
+    meta.src_port = i % 2 == 0 ? kn::ports::kShuffle : kn::ports::kDataNodeXfer;
+    meta.dst_port = static_cast<std::uint16_t>(kn::ports::kEphemeralBase + i);
+    meta.job_id = static_cast<std::uint32_t>(i % 3);
+    meta.kind = static_cast<kn::FlowKind>(i % kn::kNumFlowKinds);
+    net.start_flow(hosts[i % hosts.size()], hosts[(i + 3) % hosts.size()],
+                   ku::Bytes(1000.0 + 37.0 * static_cast<double>(i)), meta, nullptr);
+  }
+  sim.run();
+  if (spill_dir.empty()) return collector.take();
+  collector.finalize_spill();
+  return kc::SpillReader(collector.spill_path()).to_trace();
 }
 
 }  // namespace
@@ -81,15 +129,17 @@ TEST(SpillRoundTrip, BitExactIncludingAwkwardDoubles) {
   fs::remove(path);
   // Values chosen to shake out any text formatting on the path: a double
   // with no short decimal form, a denormal, an epsilon-neighbour of 1.0.
+  const std::vector<std::string> names = {"nn", "rack0-h1", "rack1-h0", "rack3-h7"};
   std::vector<kc::FlowRecord> written;
-  written.push_back(record("rack0-h1", "rack3-h7", 0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0));
-  written.push_back(record("rack0-h1", "rack1-h0", 5e-324, 0.0,
-                           std::nextafter(1.0, 2.0), /*job=*/0));
-  written.push_back(record("nn", "rack3-h7", 1.75e9, 1234.56789012345,
+  written.push_back(record(1, 3, 0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0));
+  written.push_back(record(1, 2, 5e-324, 0.0, std::nextafter(1.0, 2.0), /*job=*/0));
+  written.push_back(record(0, 3, 1.75e9, 1234.56789012345,
                            std::numeric_limits<double>::max() / 1e10));
   {
-    kc::SpillWriter writer(path, 128);
+    kc::SpillWriter writer(path, names, 128);
     for (const auto& r : written) writer.add(r);
+    // An endpoint past the name table is refused, and nothing is appended.
+    EXPECT_THROW(writer.add(record(0, 4, 1.0, 0.0, 1.0)), std::out_of_range);
     writer.finalize();
   }
   kc::SpillReader reader(path);
@@ -97,8 +147,8 @@ TEST(SpillRoundTrip, BitExactIncludingAwkwardDoubles) {
   for (std::size_t i = 0; i < written.size(); ++i) {
     SCOPED_TRACE("record " + std::to_string(i));
     const auto got = reader.record(i);
-    EXPECT_EQ(got.src, written[i].src);
-    EXPECT_EQ(got.dst, written[i].dst);
+    EXPECT_EQ(got.src, names[written[i].src_id]);
+    EXPECT_EQ(got.dst, names[written[i].dst_id]);
     EXPECT_EQ(got.src_id, written[i].src_id);
     EXPECT_EQ(got.dst_id, written[i].dst_id);
     EXPECT_EQ(got.src_port, written[i].src_port);
@@ -110,9 +160,8 @@ TEST(SpillRoundTrip, BitExactIncludingAwkwardDoubles) {
     EXPECT_EQ(got.start, written[i].start);
     EXPECT_EQ(got.end, written[i].end);
   }
-  // Names intern in insertion order, matching the KDTR string table.
-  const std::vector<std::string> expected_names = {"rack0-h1", "rack3-h7", "rack1-h0", "nn"};
-  EXPECT_EQ(reader.names(), expected_names);
+  // The name table is the writer's id-indexed table, whole.
+  EXPECT_EQ(reader.names(), names);
   EXPECT_THROW((void)reader.record(written.size()), std::out_of_range);
   fs::remove(path);
 }
@@ -134,12 +183,55 @@ TEST(SpillRoundTrip, WriterDestructorFinalizes) {
   const std::string path = scratch("dtor.kspill");
   fs::remove(path);
   {
-    kc::SpillWriter writer(path, 128);
-    writer.add(record("a", "b", 1.0, 0.0, 1.0));
+    kc::SpillWriter writer(path, {"a", "b"}, 128);
+    writer.add(record(0, 1, 1.0, 0.0, 1.0));
   }  // no explicit finalize()
   kc::SpillReader reader(path);
   EXPECT_EQ(reader.size(), 1u);
   fs::remove(path);
+}
+
+TEST(SpillRoundTrip, EmptyCaptureReadsBackEmpty) {
+  const std::string dir = scratch("empty_dir");
+  fs::remove_all(dir);
+  {
+    ks::Simulator sim;
+    kn::Network net(sim, kn::make_star(3, 1e9, 0.0));
+    kc::CollectorOptions options;
+    options.spill_dir = dir;
+    kc::FlowCollector collector(net, options);
+    sim.run();
+    collector.finalize_spill();
+    kc::SpillReader reader(collector.spill_path());
+    EXPECT_TRUE(reader.empty());
+    EXPECT_EQ(reader.to_trace().size(), 0u);
+    // The name table still names every node, in id order.
+    EXPECT_EQ(reader.names(), (std::vector<std::string>{"sw0", "h0", "h1", "h2"}));
+  }
+  fs::remove_all(dir);
+}
+
+TEST(SpillRoundTrip, SpillIsSmallerThanCsv) {
+  const std::string spill_path = scratch("size.kspill");
+  const std::string csv_path = scratch("size.csv");
+  fs::remove(spill_path);
+  const std::vector<std::string> names = host_names(2);
+  kc::Trace trace;
+  {
+    kc::SpillWriter writer(spill_path, names);
+    for (int i = 0; i < 2000; ++i) {
+      kc::FlowRecord r = record(0, 1, 1234567.0 + i, i * 0.001, i * 0.001 + 0.5);
+      writer.add(r);
+      r.src = names[0];
+      r.dst = names[1];
+      trace.add(std::move(r));
+    }
+  }
+  trace.save(csv_path);
+  EXPECT_EQ(kc::SpillReader(spill_path).size(), trace.size());
+  EXPECT_LT(fs::file_size(spill_path), fs::file_size(csv_path));
+  fs::remove(spill_path);
+  fs::remove(csv_path);
 }
 
 TEST(SpillErrors, TruncatedHeaderNamesByteCounts) {
@@ -170,7 +262,7 @@ TEST(SpillErrors, BadMagicNamesOffsetZero) {
 
 TEST(SpillErrors, UnsupportedVersionNamesOffsetFour) {
   const std::string path = write_sample("version.kspill");
-  const std::uint32_t future = kc::kSpillVersion + 41;
+  const std::uint32_t future = 42;
   patch(path, 4, &future, sizeof future);
   try {
     kc::SpillReader reader(path);
@@ -184,13 +276,13 @@ TEST(SpillErrors, UnsupportedVersionNamesOffsetFour) {
 
 TEST(SpillErrors, RecordSizeMismatchNamesOffsetEight) {
   const std::string path = write_sample("recsize.kspill");
-  const std::uint32_t wrong = 48;
+  const std::uint32_t wrong = 56;  // the version-1 record size
   patch(path, 8, &wrong, sizeof wrong);
   try {
     kc::SpillReader reader(path);
     FAIL() << "expected rejection";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("record size 48 at offset 8"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("record size 56 at offset 8"), std::string::npos)
         << e.what();
   }
   fs::remove(path);
@@ -223,9 +315,139 @@ TEST(SpillErrors, TruncatedRecordsNameTheFirstMissingRecord) {
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("truncated record 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("at offset 120"), std::string::npos) << what;  // 64 + 56
+    EXPECT_NE(what.find("at offset 112"), std::string::npos) << what;  // 64 + 48
   }
   fs::remove(path);
+}
+
+TEST(SpillErrors, VersionOneFileIsRejected) {
+  const std::string path = write_sample("v1.kspill");
+  const std::uint32_t v1 = 1;  // 56-byte records with interned names
+  patch(path, 4, &v1, sizeof v1);
+  const std::string what = open_error(path);
+  EXPECT_NE(what.find("unsupported version 1 at offset 4 (this build reads version 2)"),
+            std::string::npos)
+      << what;
+  fs::remove(path);
+}
+
+TEST(SpillErrors, GarbageAndMissingFilesAreRejected) {
+  const std::string path = scratch("garbage.kspill");
+  { std::ofstream(path, std::ios::binary) << "definitely not a KSPL file"; }
+  EXPECT_NE(open_error(path).find("truncated header"), std::string::npos);
+  { std::ofstream(path, std::ios::binary) << std::string(200, 'x'); }
+  EXPECT_NE(open_error(path).find("bad magic at offset 0"), std::string::npos);
+  EXPECT_NE(open_error(scratch("no_such_dir/missing.kspill")), "");
+  fs::remove(path);
+}
+
+// A finalized file cut short anywhere after its header (a partial copy, a
+// full disk) is rejected, and the message names the offset where the data
+// runs out: the first missing record, or the name-table field that is cut.
+TEST(SpillErrors, TruncationAnywhereAfterTheHeaderNamesTheOffset) {
+  const std::size_t count = 4;
+  const std::string path = write_sample("cut_source.kspill", count);
+  const std::string cut = scratch("cut.kspill");
+  const std::size_t size = fs::file_size(path);
+  const std::size_t records_end = kc::kSpillHeaderBytes + count * sizeof(kc::SpillRecord);
+  const auto cut_at = [&](std::size_t end) {
+    fs::copy_file(path, cut, fs::copy_options::overwrite_existing);
+    fs::resize_file(cut, end);
+    return open_error(cut);
+  };
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t offset = kc::kSpillHeaderBytes + k * sizeof(kc::SpillRecord);
+    const std::string what = cut_at(offset);
+    EXPECT_NE(what.find(ku::format("truncated record %zu at offset %zu", k, offset)),
+              std::string::npos)
+        << what;
+  }
+  // Name-table fields as (offset, length): the count, then each name's
+  // length prefix and bytes.
+  std::vector<std::pair<std::size_t, std::size_t>> fields = {{records_end, 4}};
+  const kc::SpillReader whole(path);
+  for (const std::string& name : whole.names()) {
+    const std::size_t at = fields.back().first + fields.back().second;
+    fields.emplace_back(at, 4);
+    fields.emplace_back(at + 4, name.size());
+  }
+  ASSERT_EQ(fields.back().first + fields.back().second, size);
+  for (std::size_t end = records_end; end < size; ++end) {
+    std::size_t field = 0;
+    while (fields[field].first + fields[field].second <= end) ++field;
+    const std::string what = cut_at(end);
+    EXPECT_NE(what.find("truncated name table: "), std::string::npos) << what;
+    EXPECT_NE(what.find(ku::format("at offset %zu runs past end of file %zu", fields[field].first,
+                                   end)),
+              std::string::npos)
+        << what;
+  }
+  fs::remove(path);
+  fs::remove(cut);
+}
+
+TEST(SpillErrors, TrailingBytesAfterTheNameTableNameTheOffset) {
+  const std::string path = write_sample("trailing.kspill", 3);
+  const std::size_t size = fs::file_size(path);
+  { std::ofstream(path, std::ios::binary | std::ios::app) << "junk"; }
+  const std::string what = open_error(path);
+  EXPECT_NE(what.find(ku::format("4 trailing bytes at offset %zu after the name table", size)),
+            std::string::npos)
+      << what;
+  fs::remove(path);
+}
+
+TEST(SpillErrors, NodeIdPastTheNameTableNamesTheRecordOffset) {
+  const std::string path = write_sample("bad_id.kspill", 3);  // names h0..h4
+  const std::uint32_t past_src = 5;
+  const std::uint32_t past_dst = 9;
+  patch(path, kc::kSpillHeaderBytes + sizeof(kc::SpillRecord) + offsetof(kc::SpillRecord, src_id),
+        &past_src, sizeof past_src);
+  patch(path,
+        kc::kSpillHeaderBytes + 2 * sizeof(kc::SpillRecord) + offsetof(kc::SpillRecord, dst_id),
+        &past_dst, sizeof past_dst);
+  kc::SpillReader reader(path);  // header and name table are intact
+  EXPECT_EQ(reader.record(0).src, "h0");
+  const auto reject = [&reader](std::uint64_t i) {
+    try {
+      (void)reader.record(i);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_NE(reject(1).find("record 1 at offset 112 references node 5 past the 5-name table"),
+            std::string::npos)
+      << reject(1);
+  EXPECT_NE(reject(2).find("record 2 at offset 160 references node 9 past the 5-name table"),
+            std::string::npos)
+      << reject(2);
+  EXPECT_THROW((void)reader.to_trace(), std::runtime_error);
+  fs::remove(path);
+}
+
+TEST(SpillCollector, CollectorRoundTripKeepsEveryField) {
+  const kc::Trace in_memory = capture_sample("");
+  const std::string dir = scratch("round_trip_dir");
+  fs::remove_all(dir);
+  const kc::Trace spilled = capture_sample(dir);
+  ASSERT_EQ(in_memory.size(), 100u);
+  ASSERT_EQ(spilled.size(), in_memory.size());
+  for (std::size_t i = 0; i < spilled.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    EXPECT_EQ(spilled[i].src, in_memory[i].src);
+    EXPECT_EQ(spilled[i].dst, in_memory[i].dst);
+    EXPECT_EQ(spilled[i].src_id, in_memory[i].src_id);
+    EXPECT_EQ(spilled[i].dst_id, in_memory[i].dst_id);
+    EXPECT_EQ(spilled[i].src_port, in_memory[i].src_port);
+    EXPECT_EQ(spilled[i].dst_port, in_memory[i].dst_port);
+    EXPECT_EQ(spilled[i].job_id, in_memory[i].job_id);
+    EXPECT_EQ(spilled[i].truth, in_memory[i].truth);
+    EXPECT_EQ(spilled[i].bytes, in_memory[i].bytes);
+    EXPECT_EQ(spilled[i].start, in_memory[i].start);
+    EXPECT_EQ(spilled[i].end, in_memory[i].end);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(SpillCollector, SpillModeKeepsTraceEmptyAndCountsRecords) {

@@ -40,7 +40,7 @@ cmake --build "${BUILD}" \
                hadoop_faults_test scenario_test invariant_audit_test \
                net_differential_test golden_trace_test net_property_test \
                gen_test toolchain_test mix_test \
-               spill_test api_test serve_test serve_chaos_test detlint_test \
+               spill_test capture_test api_test serve_test serve_chaos_test detlint_test \
                archlint_test keddah \
                perf_scheduler perf_serve perf_scale perf_overload -j"$(nproc)"
 
@@ -53,13 +53,17 @@ cmake --build "${BUILD}" \
 # scenario output byte-for-byte — both with the KEDDAH_CHECK audits live.
 # Replay|ClosedLoopReplay drive gen::replay, whose open-loop schedules merge
 # the fabric into one component: the dense solve path under the sanitizer.
-# Topology runs the anchor-keyed routing oracle (flat row storage, raw row
-# pointers) against its per-destination BFS reference.
+# Topology runs the transit-indexed router (CSR transit arcs, per-anchor
+# rows, a fixed ECMP stack buffer with its re-scan fallback) against its
+# per-destination BFS reference.
+# Trace|Collector|Classifier|Spill drive the collector into both sinks: the
+# in-memory Trace and the KSPL spill, whose reader indexes its mmap'd
+# records and id-keyed name table by offsets read from the file.
 # Detlint|Archlint|LintSource drive the shared source cleaner, which walks
 # every file by index with look-ahead and look-behind, over the repo and
 # the seeded fixtures.
 ctest --test-dir "${BUILD}" --output-on-failure \
-      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Topology|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|ArenaChurn|Replay|ClosedLoopReplay|Detlint|Archlint|LintSource'
+      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Topology|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|Trace|Collector|Classifier|ArenaChurn|Replay|ClosedLoopReplay|Detlint|Archlint|LintSource'
 
 # A quick pass of the scheduler benchmark under the sanitizer: exercises
 # the incremental and reference schedulers back to back on all the
