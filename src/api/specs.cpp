@@ -1,7 +1,5 @@
 #include "api/specs.h"
 
-#include <cmath>
-
 #include "hadoop/config_json.h"
 #include "hadoop/faults.h"
 #include "util/strings.h"
@@ -10,110 +8,75 @@ namespace keddah::api {
 
 namespace {
 
-std::string join_key(const std::string& prefix, const std::string& field) {
-  return prefix.empty() ? field : prefix + "." + field;
+/// Reads the object `doc` at key path `key` with `read`, throwing the first
+/// defect as a SpecError naming `file`.
+template <class Read>
+auto parse_object(const util::Json& doc, const std::string& file, const std::string& key,
+                  Read read) {
+  util::Diagnostics diagnostics(file);
+  util::JsonReader reader(doc, key, diagnostics);
+  if (!reader.is_object()) diagnostics.error(key.empty() ? "$" : key, "must be a JSON object");
+  diagnostics.throw_first_error();
+  auto result = read(reader);
+  diagnostics.throw_first_error();
+  return result;
 }
 
-/// Typed field access with SpecError diagnostics. `key` is the path of the
-/// enclosing object; `field` the member being read.
-double number_field(const util::Json& doc, const std::string& field, double fallback,
-                    const std::string& file, const std::string& key) {
-  if (!doc.contains(field)) return fallback;
-  const auto& value = doc.at(field);
-  if (!value.is_number()) throw SpecError(file, join_key(key, field), "must be a number");
-  const double d = value.as_number();
-  if (!std::isfinite(d)) throw SpecError(file, join_key(key, field), "must be finite");
-  return d;
+hadoop::ClusterConfig read_cluster(util::JsonReader& r) {
+  const util::Json* cluster = r.find("cluster");
+  if (cluster == nullptr) return hadoop::default_scenario_cluster();
+  return hadoop::parse_cluster_config(*cluster, r.diagnostics(), r.key("cluster"));
 }
 
-std::uint64_t count_field(const util::Json& doc, const std::string& field, std::uint64_t fallback,
-                          const std::string& file, const std::string& key) {
-  const double d = number_field(doc, field, static_cast<double>(fallback), file, key);
-  if (d < 0.0) throw SpecError(file, join_key(key, field), "must be >= 0");
-  return static_cast<std::uint64_t>(d);
+std::string read_model(util::JsonReader& r, const std::string& hint) {
+  const std::string model = r.string("model", "");
+  if (model.empty()) r.error("model", "missing required model name", hint);
+  return model;
 }
 
-bool bool_field(const util::Json& doc, const std::string& field, bool fallback,
-                const std::string& file, const std::string& key) {
-  if (!doc.contains(field)) return fallback;
-  const auto& value = doc.at(field);
-  if (!value.is_bool()) throw SpecError(file, join_key(key, field), "must be a boolean");
-  return value.as_bool();
-}
-
-std::string string_field(const util::Json& doc, const std::string& field,
-                         const std::string& fallback, const std::string& file,
-                         const std::string& key) {
-  if (!doc.contains(field)) return fallback;
-  const auto& value = doc.at(field);
-  if (!value.is_string()) throw SpecError(file, join_key(key, field), "must be a string");
-  return value.as_string();
-}
-
-std::uint64_t size_value(const util::Json& value, const std::string& file,
-                         const std::string& key) {
-  if (value.is_number()) {
-    const double d = value.as_number();
-    if (!std::isfinite(d) || d < 0.0) throw SpecError(file, key, "must be a byte size >= 0");
-    return static_cast<std::uint64_t>(d);
+core::CaptureSpec read_capture_spec(util::JsonReader& r) {
+  core::CaptureSpec spec;
+  std::vector<std::string> names;
+  for (const auto w : workloads::all_workloads()) names.emplace_back(workloads::workload_name(w));
+  spec.workload = workloads::all_workloads()[r.name(
+      "workload", names, static_cast<std::size_t>(workloads::Workload::kSort), "workload")];
+  spec.input_sizes = r.byte_sizes("input_sizes");
+  spec.repetitions = r.count("repetitions", 1, 1.0, "must be >= 1");
+  spec.seed = r.count("seed", 1, 0.0, "must be >= 0");
+  spec.threads = r.count("threads", 0, 0.0, "must be >= 0");
+  if (const util::Json* faults = r.find("faults")) {
+    spec.faults = hadoop::parse_fault_plan(*faults, r.diagnostics(), r.key("faults"));
   }
-  if (value.is_string()) {
-    std::uint64_t bytes = 0;
-    if (util::parse_bytes(value.as_string(), &bytes)) return bytes;
-  }
-  throw SpecError(file, key, "must be a byte size (\"128MB\", 4096, ...)");
+  return spec;
 }
 
-const util::Json& object_field(const util::Json& doc, const std::string& field,
-                               const std::string& file, const std::string& key) {
-  if (!doc.contains(field)) {
-    throw SpecError(file, join_key(key, field), "missing required object");
+core::ReproduceSpec read_reproduce_spec(util::JsonReader& r) {
+  core::ReproduceSpec spec;
+  const util::Json* scenario = r.find("scenario");
+  if (scenario == nullptr) {
+    r.error("scenario", "missing required object");
+  } else if (!scenario->is_object()) {
+    r.error("scenario", "must be an object");
+  } else {
+    util::JsonReader s(*scenario, r.key("scenario"), r.diagnostics());
+    spec.scenario.input_bytes = static_cast<double>(s.bytes("input", 0, /*required=*/true));
+    spec.scenario.num_hosts = s.count("hosts", spec.scenario.num_hosts, 0.0, "must be >= 0");
+    spec.scenario.num_maps = s.count("maps", 0, 0.0, "must be >= 0");
+    spec.scenario.num_reducers = s.count("reducers", 0, 0.0, "must be >= 0");
   }
-  const auto& value = doc.at(field);
-  if (!value.is_object()) throw SpecError(file, join_key(key, field), "must be an object");
-  return value;
+  spec.seed = r.count("seed", 1, 0.0, "must be >= 0");
+  spec.gen_options.normalize_volume = r.boolean("normalize_volume", false);
+  spec.spill_dir = r.string("spill_dir", "");
+  return spec;
 }
 
-void check_object(const util::Json& doc, const std::string& file, const std::string& key) {
-  if (!doc.is_object()) {
-    throw SpecError(file, key.empty() ? "$" : key, "must be a JSON object");
-  }
-}
-
-/// "api" is optional (v1 implied) but, when present, must name a version
-/// this build speaks — a v2 client gets a crisp rejection, not a misparse.
-void check_api_version(const util::Json& doc, const std::string& file) {
-  check_object(doc, file, "");
-  if (!doc.contains("api")) return;
-  const auto& api = doc.at("api");
-  if (!api.is_string() || api.as_string() != kApiVersionString) {
-    throw SpecError(file, "api", "unsupported API version",
-                    std::string("this build speaks \"") + kApiVersionString + "\"");
-  }
-}
-
-hadoop::ClusterConfig parse_cluster_field(const util::Json& doc, const std::string& file) {
-  if (!doc.contains("cluster")) return hadoop::default_scenario_cluster();
-  return hadoop::parse_cluster_config(doc.at("cluster"), file);
-}
-
-gen::Scenario parse_gen_scenario(const util::Json& doc, const std::string& file,
-                                 const std::string& key) {
-  gen::Scenario scenario;
-  if (!doc.contains("input")) {
-    throw SpecError(file, join_key(key, "input"), "missing required byte size",
-                    "the job input size drives counts, volumes, and duration");
-  }
-  scenario.input_bytes =
-      static_cast<double>(size_value(doc.at("input"), file, join_key(key, "input")));
-  if (scenario.input_bytes <= 0.0) {
-    throw SpecError(file, join_key(key, "input"), "must be > 0");
-  }
-  scenario.num_hosts =
-      static_cast<std::size_t>(count_field(doc, "hosts", scenario.num_hosts, file, key));
-  scenario.num_maps = static_cast<std::size_t>(count_field(doc, "maps", 0, file, key));
-  scenario.num_reducers = static_cast<std::size_t>(count_field(doc, "reducers", 0, file, key));
-  return scenario;
+core::ValidateSpec read_validate_spec(util::JsonReader& r) {
+  core::ValidateSpec spec;
+  spec.seed = r.count("seed", 1, 0.0, "must be >= 0");
+  spec.repetitions = r.count("repetitions", 1, 1.0, "must be >= 1");
+  spec.threads = r.count("threads", 0, 0.0, "must be >= 0");
+  spec.gen_options.normalize_volume = r.boolean("normalize_volume", false);
+  return spec;
 }
 
 util::Json gen_scenario_to_json(const gen::Scenario& scenario) {
@@ -141,55 +104,11 @@ util::Json class_stats_json(const capture::Trace& trace) {
 
 }  // namespace
 
-SpecError::SpecError(std::string file, std::string key, std::string message, std::string hint)
-    : std::invalid_argument(file + ": " + key + ": " + message +
-                            (hint.empty() ? "" : " (" + hint + ")")),
-      file_(std::move(file)),
-      key_(std::move(key)),
-      message_(std::move(message)),
-      hint_(std::move(hint)) {}
-
-util::Json SpecError::to_json() const {
-  util::Json doc = util::Json::object();
-  doc["file"] = util::Json(file_);
-  doc["key"] = util::Json(key_);
-  doc["message"] = util::Json(message_);
-  if (!hint_.empty()) doc["hint"] = util::Json(hint_);
-  return doc;
-}
-
 // ---------------------------------------------------------------- specs
 
 core::CaptureSpec parse_capture_spec(const util::Json& doc, const std::string& file,
                                      const std::string& key) {
-  check_object(doc, file, key);
-  core::CaptureSpec spec;
-  const std::string workload = string_field(doc, "workload", "sort", file, key);
-  try {
-    spec.workload = workloads::workload_from_name(workload);
-  } catch (const std::invalid_argument& e) {
-    throw SpecError(file, join_key(key, "workload"), e.what());
-  }
-  if (!doc.contains("input_sizes") || !doc.at("input_sizes").is_array() ||
-      doc.at("input_sizes").size() == 0) {
-    throw SpecError(file, join_key(key, "input_sizes"),
-                    "must be a non-empty array of byte sizes");
-  }
-  const auto& sizes = doc.at("input_sizes").as_array();
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    spec.input_sizes.push_back(
-        size_value(sizes[i], file, util::format("%s[%zu]", join_key(key, "input_sizes").c_str(), i)));
-  }
-  spec.repetitions = static_cast<std::size_t>(count_field(doc, "repetitions", 1, file, key));
-  if (spec.repetitions == 0) {
-    throw SpecError(file, join_key(key, "repetitions"), "must be >= 1");
-  }
-  spec.seed = count_field(doc, "seed", 1, file, key);
-  spec.threads = static_cast<std::size_t>(count_field(doc, "threads", 0, file, key));
-  if (doc.contains("faults")) {
-    spec.faults = hadoop::parse_fault_plan(doc.at("faults"), file);
-  }
-  return spec;
+  return parse_object(doc, file, key, read_capture_spec);
 }
 
 util::Json capture_spec_to_json(const core::CaptureSpec& spec) {
@@ -208,14 +127,7 @@ util::Json capture_spec_to_json(const core::CaptureSpec& spec) {
 
 core::ReproduceSpec parse_reproduce_spec(const util::Json& doc, const std::string& file,
                                          const std::string& key) {
-  check_object(doc, file, key);
-  core::ReproduceSpec spec;
-  spec.scenario =
-      parse_gen_scenario(object_field(doc, "scenario", file, key), file, join_key(key, "scenario"));
-  spec.seed = count_field(doc, "seed", 1, file, key);
-  spec.gen_options.normalize_volume = bool_field(doc, "normalize_volume", false, file, key);
-  spec.spill_dir = string_field(doc, "spill_dir", "", file, key);
-  return spec;
+  return parse_object(doc, file, key, read_reproduce_spec);
 }
 
 util::Json reproduce_spec_to_json(const core::ReproduceSpec& spec) {
@@ -231,16 +143,7 @@ util::Json reproduce_spec_to_json(const core::ReproduceSpec& spec) {
 
 core::ValidateSpec parse_validate_spec(const util::Json& doc, const std::string& file,
                                        const std::string& key) {
-  check_object(doc, file, key);
-  core::ValidateSpec spec;
-  spec.seed = count_field(doc, "seed", 1, file, key);
-  spec.repetitions = static_cast<std::size_t>(count_field(doc, "repetitions", 1, file, key));
-  if (spec.repetitions == 0) {
-    throw SpecError(file, join_key(key, "repetitions"), "must be >= 1");
-  }
-  spec.threads = static_cast<std::size_t>(count_field(doc, "threads", 0, file, key));
-  spec.gen_options.normalize_volume = bool_field(doc, "normalize_volume", false, file, key);
-  return spec;
+  return parse_object(doc, file, key, read_validate_spec);
 }
 
 util::Json validate_spec_to_json(const core::ValidateSpec& spec) {
@@ -255,27 +158,27 @@ util::Json validate_spec_to_json(const core::ValidateSpec& spec) {
 // ------------------------------------------------------------- requests
 
 WhatIfRequest parse_whatif_request(const util::Json& doc, const std::string& file) {
-  check_api_version(doc, file);
-  WhatIfRequest request;
-  request.scenario = core::parse_scenario(doc, file);
-  return request;
+  return WhatIfRequest{core::parse_scenario(doc, file)};
+}
+
+WhatIfRequest parse_whatif_request(const util::Json& doc, util::Diagnostics& diagnostics) {
+  return WhatIfRequest{core::parse_scenario(doc, diagnostics)};
 }
 
 ReproduceRequest parse_reproduce_request(const util::Json& doc, const std::string& file) {
-  check_api_version(doc, file);
-  ReproduceRequest request;
-  request.model = string_field(doc, "model", "", file, "");
-  if (request.model.empty()) {
-    throw SpecError(file, "model", "missing required model name",
-                    "name a model in the daemon's bank (see /v1/stats for the list)");
-  }
-  request.spec = parse_reproduce_spec(doc, file, "");
-  request.cluster = parse_cluster_field(doc, file);
-  // An absent host count means "every worker of the replay fabric".
-  if (!object_field(doc, "scenario", file, "").contains("hosts")) {
-    request.spec.scenario.num_hosts = request.cluster.num_workers();
-  }
-  return request;
+  return parse_object(doc, file, "", [](util::JsonReader& r) {
+    core::read_spec_version(r);
+    ReproduceRequest request;
+    request.model = read_model(r, "name a model in the daemon's bank (see /v1/stats for the list)");
+    request.spec = read_reproduce_spec(r);
+    request.cluster = read_cluster(r);
+    // An absent host count means "every worker of the replay fabric".
+    const util::Json* scenario = r.find("scenario");
+    if (scenario != nullptr && !scenario->contains("hosts")) {
+      request.spec.scenario.num_hosts = request.cluster.num_workers();
+    }
+    return request;
+  });
 }
 
 util::Json reproduce_request_to_json(const ReproduceRequest& request) {
@@ -287,20 +190,19 @@ util::Json reproduce_request_to_json(const ReproduceRequest& request) {
 }
 
 ValidateRequest parse_validate_request(const util::Json& doc, const std::string& file) {
-  check_api_version(doc, file);
-  ValidateRequest request;
-  request.model = string_field(doc, "model", "", file, "");
-  if (request.model.empty()) {
-    throw SpecError(file, "model", "missing required model name");
-  }
-  request.run = string_field(doc, "run", "", file, "");
-  if (request.run.empty()) {
-    throw SpecError(file, "run", "missing required run basename",
-                    "a run persisted by `keddah capture` (basename of .csv/.meta.json)");
-  }
-  request.spec = parse_validate_spec(doc, file, "");
-  request.cluster = parse_cluster_field(doc, file);
-  return request;
+  return parse_object(doc, file, "", [](util::JsonReader& r) {
+    core::read_spec_version(r);
+    ValidateRequest request;
+    request.model = read_model(r, "");
+    request.run = r.string("run", "");
+    if (request.run.empty()) {
+      r.error("run", "missing required run basename",
+              "a run persisted by `keddah capture` (basename of .csv/.meta.json)");
+    }
+    request.spec = read_validate_spec(r);
+    request.cluster = read_cluster(r);
+    return request;
+  });
 }
 
 util::Json validate_request_to_json(const ValidateRequest& request) {

@@ -10,51 +10,34 @@
 // Design rules:
 //   - Every document carries {"api": "v1"}; parsers reject other versions
 //     so a v2 can change the schema without silent misreads.
-//   - Parse failures throw SpecError naming the source document and the
-//     JSON key path of the offending value, keddah-lint style, so a 400
-//     response can point at "scenario.jobs[2].input" rather than "bad
-//     request".
+//   - Documents are read through util::JsonReader: parse failures throw
+//     SpecError naming the source document and the JSON key path of the
+//     offending value, so a 400 response can point at
+//     "scenario.jobs[2].input" rather than "bad request".
 //   - Serialization is deterministic (util::Json sorts object keys, numbers
 //     render via one fixed format), which is what makes "batch CLI output
 //     == daemon response body" a testable bit-identity.
 #pragma once
 
-#include <stdexcept>
 #include <string>
 
 #include "keddah/compare.h"
 #include "keddah/scenario.h"
 #include "keddah/toolchain.h"
 #include "util/json.h"
+#include "util/json_reader.h"
 
 namespace keddah::api {
 
 /// Wire-format major version. Bump on any incompatible schema change.
 inline constexpr int kApiVersion = 1;
-inline constexpr const char* kApiVersionString = "v1";
+inline constexpr const char* kApiVersionString = core::kSpecVersion;
 
 /// A field-level request defect: which document, which JSON key path, what
 /// is wrong, and (optionally) how to fix it. what() renders the lint-style
-/// line "file: key: message (hint)".
-class SpecError : public std::invalid_argument {
- public:
-  SpecError(std::string file, std::string key, std::string message, std::string hint = "");
-
-  const std::string& file() const { return file_; }
-  const std::string& key() const { return key_; }
-  const std::string& message() const { return message_; }
-  const std::string& hint() const { return hint_; }
-
-  /// {"file", "key", "message", "hint"} — the diagnostic object embedded in
-  /// error responses.
-  util::Json to_json() const;
-
- private:
-  std::string file_;
-  std::string key_;
-  std::string message_;
-  std::string hint_;
-};
+/// line "file: key: message (hint)". Every spec parser throws this one
+/// shape (util/json_reader.h).
+using SpecError = util::SpecError;
 
 // ---------------------------------------------------------------- specs
 // JSON ⇄ toolchain spec structs. Parsers take the source name (`file`) and
@@ -86,6 +69,9 @@ struct WhatIfRequest {
   core::ScenarioSpec scenario;
 };
 WhatIfRequest parse_whatif_request(const util::Json& doc, const std::string& file);
+/// Collecting form: every defect lands in `diagnostics` (keddah-lint's
+/// findings for the body) and nothing throws.
+WhatIfRequest parse_whatif_request(const util::Json& doc, util::Diagnostics& diagnostics);
 
 /// /v1/reproduce request: sample `model` for a scenario and replay it on a
 /// cluster fabric.

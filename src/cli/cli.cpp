@@ -11,6 +11,7 @@
 #include "capture/matrix.h"
 #include "gen/ns3_export.h"
 #include "hadoop/attribution.h"
+#include "hadoop/config_json.h"
 #include "hadoop/faults.h"
 #include "keddah/scenario.h"
 #include "model/calibration.h"
@@ -27,15 +28,22 @@ namespace keddah::cli {
 
 namespace {
 
+/// A count flag; negatives read as 0, which the range check rejects.
+std::size_t count_arg(const util::Args& args, const std::string& key, std::int64_t fallback) {
+  return static_cast<std::size_t>(std::max<std::int64_t>(args.get_int(key, fallback), 0));
+}
+
+/// The cluster the flags describe, range-checked like a scenario's
+/// "cluster" object (hadoop::check_cluster_config).
 hadoop::ClusterConfig config_from_args(const util::Args& args) {
   hadoop::ClusterConfig cfg;
-  cfg.racks = static_cast<std::size_t>(args.get_int("racks", 4));
-  cfg.hosts_per_rack = static_cast<std::size_t>(args.get_int("hosts-per-rack", 4));
+  cfg.racks = count_arg(args, "racks", 4);
+  cfg.hosts_per_rack = count_arg(args, "hosts-per-rack", 4);
   cfg.access_bps = args.get_double("access-gbps", 1.0) * 1e9;
   cfg.core_bps = args.get_double("core-gbps", 10.0) * 1e9;
   cfg.block_size = args.get_bytes("block-size", 128ull << 20);
-  cfg.replication = static_cast<std::uint32_t>(args.get_int("replication", 3));
-  cfg.containers_per_node = static_cast<std::size_t>(args.get_int("containers", 4));
+  cfg.replication = static_cast<std::uint32_t>(count_arg(args, "replication", 3));
+  cfg.containers_per_node = count_arg(args, "containers", 4);
   cfg.slowstart = args.get_double("slowstart", 0.05);
   cfg.locality_delay_s = args.get_double("locality-delay", 2.0);
   cfg.map_output_compress_ratio = args.get_double("compress-ratio", 1.0);
@@ -50,12 +58,15 @@ hadoop::ClusterConfig config_from_args(const util::Args& args) {
     cfg.topology = hadoop::TopologyKind::kStar;
   } else if (topo == "fattree") {
     cfg.topology = hadoop::TopologyKind::kFatTree;
-    cfg.fat_tree_k = static_cast<std::size_t>(args.get_int("fat-tree-k", 4));
+    cfg.fat_tree_k = count_arg(args, "fat-tree-k", 4);
   } else if (topo == "racktree") {
     cfg.topology = hadoop::TopologyKind::kRackTree;
   } else {
     throw std::invalid_argument("unknown --topology '" + topo + "'");
   }
+  util::Diagnostics diagnostics("command line");
+  hadoop::check_cluster_config(cfg, diagnostics);
+  diagnostics.throw_first_error();
   return cfg;
 }
 
@@ -73,9 +84,7 @@ hadoop::FaultPlan faults_from_args(const util::Args& args,
                                    const hadoop::ClusterConfig& cfg) {
   const std::string path = args.get("faults", "");
   if (path.empty()) return {};
-  const auto plan = hadoop::parse_fault_plan(util::Json::load_file(path), path);
-  hadoop::validate_fault_plan(plan, cfg.num_workers(), path);
-  return plan;
+  return hadoop::parse_fault_plan(util::Json::load_file(path), path, cfg.num_workers());
 }
 
 int cmd_capture(const util::Args& args, std::ostream& out, std::ostream& err) {

@@ -1,7 +1,7 @@
 #include "hadoop/config_json.h"
 
 #include <cmath>
-#include <stdexcept>
+#include <vector>
 
 #include "hadoop/faults.h"
 #include "util/strings.h"
@@ -10,39 +10,11 @@ namespace keddah::hadoop {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& context, const std::string& key,
-                       const std::string& message) {
-  throw std::invalid_argument(context + ": " + key + ": " + message);
-}
-
-double number_field(const util::Json& doc, const std::string& field, double fallback,
-                    const std::string& context, const std::string& key) {
-  if (!doc.contains(field)) return fallback;
-  const auto& value = doc.at(field);
-  if (!value.is_number()) fail(context, key + "." + field, "must be a number");
-  const double d = value.as_number();
-  if (!std::isfinite(d)) fail(context, key + "." + field, "must be finite");
-  return d;
-}
-
-std::size_t count_field(const util::Json& doc, const std::string& field, std::size_t fallback,
-                        const std::string& context, const std::string& key) {
-  const double d =
-      number_field(doc, field, static_cast<double>(fallback), context, key);
-  if (d < 0.0) fail(context, key + "." + field, "must be >= 0");
-  return static_cast<std::size_t>(d);
-}
-
-std::uint64_t size_field(const util::Json& doc, const std::string& field, std::uint64_t fallback,
-                         const std::string& context, const std::string& key) {
-  if (!doc.contains(field)) return fallback;
-  const auto& value = doc.at(field);
-  if (value.is_number()) return static_cast<std::uint64_t>(value.as_number());
-  if (value.is_string()) {
-    std::uint64_t bytes = 0;
-    if (util::parse_bytes(value.as_string(), &bytes)) return bytes;
-  }
-  fail(context, key + "." + field, "must be a byte size (\"128MB\", 4096, ...)");
+/// A count field as read from JSON: negatives read as 0, which the range
+/// checks reject, and huge values saturate instead of overflowing.
+std::size_t to_size(double value) {
+  if (!(value > 0.0)) return 0;
+  return value >= 0x1p63 ? std::size_t{1} << 63 : static_cast<std::size_t>(value);
 }
 
 }  // namespace
@@ -59,14 +31,6 @@ const char* topology_kind_name(TopologyKind kind) {
   return "racktree";
 }
 
-TopologyKind topology_kind_from_name(const std::string& name) {
-  if (name == "star") return TopologyKind::kStar;
-  if (name == "racktree") return TopologyKind::kRackTree;
-  if (name == "fattree") return TopologyKind::kFatTree;
-  throw std::invalid_argument("unknown topology '" + name +
-                              "' (expected star, racktree, or fattree)");
-}
-
 ClusterConfig default_scenario_cluster() {
   ClusterConfig cfg;
   cfg.containers_per_node = 4;
@@ -74,42 +38,83 @@ ClusterConfig default_scenario_cluster() {
   return cfg;
 }
 
-ClusterConfig parse_cluster_config(const util::Json& cluster, const std::string& context,
+ClusterConfig parse_cluster_config(const util::Json& cluster, util::Diagnostics& diagnostics,
                                    const std::string& key) {
   ClusterConfig cfg = default_scenario_cluster();
-  if (!cluster.is_object()) fail(context, key, "must be an object");
-  if (cluster.contains("topology")) {
-    const auto& topo = cluster.at("topology");
-    if (!topo.is_string()) fail(context, key + ".topology", "must be a string");
-    try {
-      cfg.topology = topology_kind_from_name(topo.as_string());
-    } catch (const std::invalid_argument& e) {
-      fail(context, key + ".topology", e.what());
-    }
+  util::JsonReader r(cluster, key, diagnostics);
+  if (!r.is_object()) {
+    diagnostics.error(key, "must be an object");
+    cfg.racks = 0;  // unsized
+    return cfg;
   }
-  cfg.racks = count_field(cluster, "racks", cfg.racks, context, key);
-  cfg.hosts_per_rack = count_field(cluster, "hosts_per_rack", cfg.hosts_per_rack, context, key);
-  cfg.fat_tree_k = count_field(cluster, "fat_tree_k", cfg.fat_tree_k, context, key);
-  cfg.access_bps = number_field(cluster, "access_gbps", 1.0, context, key) * 1e9;
-  cfg.core_bps = number_field(cluster, "core_gbps", 10.0, context, key) * 1e9;
-  cfg.block_size = size_field(cluster, "block_size", cfg.block_size, context, key);
-  cfg.replication = static_cast<std::uint32_t>(
-      count_field(cluster, "replication", cfg.replication, context, key));
+  std::vector<std::string> topologies;
+  for (const auto kind : {TopologyKind::kStar, TopologyKind::kRackTree, TopologyKind::kFatTree}) {
+    topologies.emplace_back(topology_kind_name(kind));
+  }
+  cfg.topology = static_cast<TopologyKind>(
+      r.name("topology", topologies, static_cast<std::size_t>(cfg.topology), "topology"));
+  cfg.racks = to_size(r.number("racks", static_cast<double>(cfg.racks)));
+  cfg.hosts_per_rack = to_size(r.number("hosts_per_rack", static_cast<double>(cfg.hosts_per_rack)));
+  const double k = r.number("fat_tree_k", static_cast<double>(cfg.fat_tree_k));
+  // A fractional arity reads as 0, which the range check rejects.
+  cfg.fat_tree_k = k == std::floor(k) ? to_size(k) : 0;
+  cfg.access_bps = r.number("access_gbps", 1.0) * 1e9;
+  cfg.core_bps = r.number("core_gbps", 10.0) * 1e9;
+  cfg.block_size = r.bytes("block_size", cfg.block_size);
+  cfg.replication =
+      static_cast<std::uint32_t>(to_size(r.number("replication", cfg.replication)));
   cfg.containers_per_node =
-      count_field(cluster, "containers", cfg.containers_per_node, context, key);
-  cfg.slowstart = number_field(cluster, "slowstart", cfg.slowstart, context, key);
-  cfg.locality_delay_s =
-      number_field(cluster, "locality_delay_s", cfg.locality_delay_s, context, key);
-  cfg.map_output_compress_ratio =
-      number_field(cluster, "compress_ratio", cfg.map_output_compress_ratio, context, key);
-  cfg.straggler_fraction =
-      number_field(cluster, "straggler_fraction", cfg.straggler_fraction, context, key);
-  if (cluster.contains("speculative")) {
-    const auto& spec = cluster.at("speculative");
-    if (!spec.is_bool()) fail(context, key + ".speculative", "must be a boolean");
-    cfg.speculative_execution = spec.as_bool();
-  }
+      to_size(r.number("containers", static_cast<double>(cfg.containers_per_node)));
+  cfg.slowstart = r.number("slowstart", cfg.slowstart);
+  cfg.locality_delay_s = r.number("locality_delay_s", cfg.locality_delay_s);
+  cfg.map_output_compress_ratio = r.number("compress_ratio", cfg.map_output_compress_ratio);
+  cfg.straggler_fraction = r.number("straggler_fraction", cfg.straggler_fraction);
+  cfg.speculative_execution = r.boolean("speculative", cfg.speculative_execution);
+  check_cluster_config(cfg, diagnostics, key);
   return cfg;
+}
+
+ClusterConfig parse_cluster_config(const util::Json& cluster, const std::string& context,
+                                   const std::string& key) {
+  util::Diagnostics diagnostics(context);
+  ClusterConfig cfg = parse_cluster_config(cluster, diagnostics, key);
+  diagnostics.throw_first_error();
+  return cfg;
+}
+
+void check_cluster_config(const ClusterConfig& cfg, util::Diagnostics& diagnostics,
+                          const std::string& key) {
+  const auto error = [&](const char* field, std::string message, std::string hint = "") {
+    diagnostics.error(key + "." + field, std::move(message), std::move(hint));
+  };
+  if (cfg.racks < 1) error("racks", "must be >= 1");
+  if (cfg.hosts_per_rack < 1) error("hosts_per_rack", "must be >= 1");
+  if (cfg.topology == TopologyKind::kFatTree && (cfg.fat_tree_k < 2 || cfg.fat_tree_k % 2 != 0)) {
+    error("fat_tree_k", "fat-tree arity must be an even integer >= 2");
+  }
+  if (!(cfg.access_bps > 0.0)) error("access_gbps", "access link rate must be > 0");
+  if (!(cfg.core_bps > 0.0)) error("core_gbps", "core link rate must be > 0");
+  if (cfg.block_size == 0) error("block_size", "byte size must be > 0");
+  if (cfg.replication < 1) error("replication", "replication factor must be >= 1");
+  const std::size_t workers = cfg.num_workers();
+  if (workers != 0 && cfg.replication > workers) {
+    error("replication",
+          util::format("replication %u exceeds the cluster size (%zu workers)", cfg.replication,
+                       workers),
+          "lower replication or add racks/hosts");
+  }
+  if (cfg.containers_per_node < 1) error("containers", "containers per node must be >= 1");
+  if (!(cfg.slowstart >= 0.0 && cfg.slowstart <= 1.0)) {
+    error("slowstart", "slowstart must be in [0, 1]",
+          "it is the map-completion fraction that releases reducers");
+  }
+  if (!(cfg.locality_delay_s >= 0.0)) error("locality_delay_s", "must be >= 0");
+  if (!(cfg.map_output_compress_ratio > 0.0)) {
+    error("compress_ratio", "map-output compression ratio must be > 0");
+  }
+  if (!(cfg.straggler_fraction >= 0.0 && cfg.straggler_fraction <= 1.0)) {
+    error("straggler_fraction", "must be in [0, 1]");
+  }
 }
 
 util::Json cluster_config_to_json(const ClusterConfig& cfg) {

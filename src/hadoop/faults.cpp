@@ -1,81 +1,15 @@
 #include "hadoop/faults.h"
 
 #include <cmath>
+#include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "util/check.h"
 #include "util/strings.h"
 
 namespace keddah::hadoop {
-
-namespace {
-
-/// "context: faults[i]" prefix shared by every complaint about one event.
-std::string where(const std::string& context, std::size_t index) {
-  return util::format("%s: faults[%zu]", context.c_str(), index);
-}
-
-double finite_number(const util::Json& entry, const std::string& key, double fallback,
-                     const std::string& prefix) {
-  if (!entry.contains(key)) return fallback;
-  const auto& field = entry.at(key);
-  if (!field.is_number()) {
-    throw std::invalid_argument(prefix + "." + key + " must be a number");
-  }
-  const double value = field.as_number();
-  if (!std::isfinite(value)) {
-    throw std::invalid_argument(prefix + "." + key + " must be finite (got NaN/inf)");
-  }
-  return value;
-}
-
-void validate_event(const FaultEvent& event, std::size_t num_workers,
-                    const std::string& prefix) {
-  if (event.worker == 0) {
-    throw std::invalid_argument(prefix +
-                                ".worker must be >= 1 (worker 0 hosts the master)");
-  }
-  if (num_workers != 0 && event.worker >= num_workers) {
-    throw std::invalid_argument(util::format("%s.worker %zu out of range (cluster has %zu workers)",
-                                             prefix.c_str(), event.worker, num_workers));
-  }
-  if (!std::isfinite(event.at) || event.at < 0.0) {
-    throw std::invalid_argument(prefix + ".at must be a finite time >= 0");
-  }
-  if (!std::isfinite(event.duration) || event.duration < 0.0) {
-    throw std::invalid_argument(prefix + ".duration must be a finite time >= 0");
-  }
-  switch (event.kind) {
-    case FaultKind::kCrash:
-      break;  // duration/factor ignored
-    case FaultKind::kOutage:
-      if (event.duration <= 0.0) {
-        throw std::invalid_argument(prefix +
-                                    ".duration must be > 0 for an outage (its recovery time)");
-      }
-      break;
-    case FaultKind::kDegradeLink:
-      if (event.duration <= 0.0) {
-        throw std::invalid_argument(prefix + ".duration must be > 0 for degrade_link");
-      }
-      if (!std::isfinite(event.factor) || event.factor <= 0.0 || event.factor >= 1.0) {
-        throw std::invalid_argument(
-            prefix + ".factor must be in (0, 1) for degrade_link (capacity multiplier)");
-      }
-      break;
-    case FaultKind::kSlowNode:
-      if (event.duration <= 0.0) {
-        throw std::invalid_argument(prefix + ".duration must be > 0 for slow_node");
-      }
-      if (!std::isfinite(event.factor) || event.factor <= 1.0) {
-        throw std::invalid_argument(
-            prefix + ".factor must be > 1 for slow_node (compute slowdown)");
-      }
-      break;
-  }
-}
-
-}  // namespace
 
 const char* fault_kind_name(FaultKind kind) {
   switch (kind) {
@@ -100,50 +34,139 @@ FaultKind fault_kind_from_name(const std::string& name) {
                               "' (want crash|outage|degrade_link|slow_node)");
 }
 
-void validate_fault_plan(const FaultPlan& plan, std::size_t num_workers,
-                         const std::string& context) {
-  for (std::size_t i = 0; i < plan.events.size(); ++i) {
-    validate_event(plan.events[i], num_workers, where(context, i));
+void check_fault_event(const FaultEvent& event, std::size_t num_workers,
+                       const std::string& prefix, util::Diagnostics& diagnostics) {
+  const auto error = [&](const char* field, std::string message, std::string hint = "") {
+    diagnostics.error(prefix + field, std::move(message), std::move(hint));
+  };
+  if (event.worker == 0) {
+    error(".worker", "worker 0 co-hosts the master and cannot be faulted",
+          "fault a worker index >= 1");
+  } else if (num_workers != 0 && event.worker >= num_workers) {
+    error(".worker",
+          util::format("worker %zu does not exist (cluster has workers 0..%zu)", event.worker,
+                       num_workers - 1),
+          "use an index below the cluster size or grow the cluster");
+  }
+  if (!(event.at >= 0.0)) error(".at", "injection time must be >= 0");
+  if (event.kind == FaultKind::kCrash) {
+    if (event.duration != 0.0) {
+      diagnostics.warning(prefix + ".duration", "crashes are permanent; 'duration' is ignored",
+                          "use kind \"outage\" for a transient failure");
+    }
+    return;
+  }
+  if (!(event.duration > 0.0)) error(".duration", "transient faults need a window length > 0");
+  if (event.kind == FaultKind::kDegradeLink && !(event.factor > 0.0 && event.factor < 1.0)) {
+    error(".factor", "degrade_link factor must be in (0, 1)",
+          "it multiplies the access-link capacity");
+  }
+  if (event.kind == FaultKind::kSlowNode && !(event.factor > 1.0)) {
+    error(".factor", "slow_node factor must be > 1", "it multiplies compute time");
   }
 }
 
-FaultPlan parse_fault_plan(const util::Json& array, const std::string& context) {
-  if (!array.is_array()) {
-    throw std::invalid_argument(context + ": faults must be an array");
+void validate_fault_plan(const FaultPlan& plan, std::size_t num_workers,
+                         const std::string& context) {
+  util::Diagnostics diagnostics(context);
+  for (std::size_t i = 0; i < plan.events.size(); ++i) {
+    check_fault_event(plan.events[i], num_workers, util::format("faults[%zu]", i), diagnostics);
   }
+  diagnostics.throw_first_error();
+}
+
+FaultPlan parse_fault_plan(const util::Json& array, util::Diagnostics& diagnostics,
+                           const std::string& key, std::size_t num_workers, double horizon) {
   FaultPlan plan;
+  if (!array.is_array()) {
+    diagnostics.error(key, "must be an array of fault events");
+    return plan;
+  }
+  std::vector<std::string> kinds;
+  for (const auto kind : {FaultKind::kCrash, FaultKind::kOutage, FaultKind::kDegradeLink,
+                          FaultKind::kSlowNode}) {
+    kinds.emplace_back(fault_kind_name(kind));
+  }
+  // Per entry, for the dead-worker pass: the worker index as written (NaN
+  // when it is not a number) and the injection time.
+  std::vector<std::pair<double, double>> targets;
+  struct Crash {
+    std::size_t worker;
+    double at;
+    std::size_t index;
+  };
+  std::vector<Crash> crashes;
+  std::set<std::string> seen;
   for (std::size_t i = 0; i < array.size(); ++i) {
-    const auto& entry = array.at(i);
-    const std::string prefix = where(context, i);
-    if (!entry.is_object()) {
-      throw std::invalid_argument(prefix + " must be an object");
+    const std::string prefix = util::format("%s[%zu]", key.c_str(), i);
+    util::JsonReader r(array.at(i), prefix, diagnostics);
+    targets.emplace_back(std::nan(""), 0.0);
+    if (!r.is_object()) {
+      diagnostics.error(prefix, "must be an object");
+      continue;
     }
     FaultEvent event;
-    if (entry.contains("kind")) {
-      try {
-        event.kind = fault_kind_from_name(entry.at("kind").as_string());
-      } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument(prefix + ".kind: " + e.what());
-      }
-    } else {
-      event.kind = FaultKind::kCrash;  // legacy {"worker", "at"} crash entry
+    const std::size_t errors = diagnostics.num_errors();
+    event.kind = static_cast<FaultKind>(r.name("kind", kinds, 0, "fault kind"));
+    const bool kind_ok = diagnostics.num_errors() == errors;
+    const util::Json* worker_value = r.find("worker");
+    const double worker = r.number("worker", -1.0);
+    event.at = r.number("at", 0.0);
+    event.duration = r.number("duration", 0.0);
+    event.factor = r.number("factor", 0.0);
+    if (worker_value != nullptr && worker_value->is_number()) targets.back() = {worker, event.at};
+    if (!kind_ok) continue;
+    if (worker_value == nullptr) {
+      r.error("worker", "missing required key", "index into the cluster's worker list");
+      continue;
     }
-    if (!entry.contains("worker")) {
-      throw std::invalid_argument(prefix + " missing required key 'worker'");
-    }
-    const double worker = finite_number(entry, "worker", 0.0, prefix);
-    if (worker < 0.0) {
-      throw std::invalid_argument(prefix + ".worker must be >= 0");
+    if (worker < 0.0 || std::fmod(worker, 1.0) != 0.0 || worker >= 0x1p63) {
+      r.error("worker", "must be a non-negative integer");
+      continue;
     }
     event.worker = static_cast<std::size_t>(worker);
-    event.at = finite_number(entry, "at", 0.0, prefix);
-    event.duration = finite_number(entry, "duration", 0.0, prefix);
-    event.factor = finite_number(entry, "factor", 0.0, prefix);
-    // Parameter-range checks happen here too (worker range waits for the
-    // cluster size, passed as 0 = unknown).
-    validate_event(event, /*num_workers=*/0, prefix);
+    check_fault_event(event, num_workers, prefix, diagnostics);
+    if (event.kind == FaultKind::kCrash) crashes.push_back({event.worker, event.at, i});
+    if (horizon > 0.0 && event.at + event.duration > horizon) {
+      diagnostics.error(prefix,
+                        util::format("fault window [%g, %g] extends past the scenario horizon "
+                                     "of %g s",
+                                     event.at, event.at + event.duration, horizon),
+                        "shorten the window or raise the horizon");
+    }
+    const std::string kind = fault_kind_name(event.kind);
+    if (!seen.insert(util::format("%s w%zu at%g", kind.c_str(), event.worker, event.at)).second) {
+      diagnostics.error(prefix,
+                        util::format("duplicate fault: %s on worker %zu at %g s already scheduled",
+                                     kind.c_str(), event.worker, event.at),
+                        "remove the repeated entry");
+    }
     plan.events.push_back(event);
   }
+  // Nothing can be injected into a permanently crashed node: a crash at t
+  // followed by any event on the same worker at a later time never fires
+  // (and a "recovery" the author expected silently does not happen).
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const auto [worker, at] = targets[i];
+    for (const auto& crash : crashes) {
+      if (crash.index != i && static_cast<double>(crash.worker) == worker && crash.at <= at) {
+        diagnostics.error(util::format("%s[%zu]", key.c_str(), i),
+                          util::format("worker %zu is permanently crashed by %s[%zu] at %g s; "
+                                       "this event never takes effect",
+                                       crash.worker, key.c_str(), crash.index, crash.at),
+                          "use kind \"outage\" for a recoverable failure, or retarget the event");
+        break;
+      }
+    }
+  }
+  return plan;
+}
+
+FaultPlan parse_fault_plan(const util::Json& array, const std::string& context,
+                           std::size_t num_workers) {
+  util::Diagnostics diagnostics(context);
+  FaultPlan plan = parse_fault_plan(array, diagnostics, "$", num_workers);
+  diagnostics.throw_first_error();
   return plan;
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/json.h"
+#include "util/json_reader.h"
 #include "util/units.h"
 
 namespace keddah::hadoop {
@@ -60,23 +61,37 @@ struct FaultPlan {
   std::size_t size() const { return events.size(); }
 };
 
-/// Validates every event against the cluster size and per-kind parameter
-/// ranges (finite non-negative times, positive windows, sane factors).
-/// `context` names the source (file path, "cli", ...) so the error message
-/// points at the offending file and key. Throws std::invalid_argument.
+/// Range checks on one event, reported under `prefix` (e.g. "faults[2]"):
+/// worker 0 hosts the master, worker indices must exist (`num_workers` 0 =
+/// cluster unknown), times are >= 0, transient faults need a window > 0,
+/// and factors must lie in their kind's domain. A crash's ignored duration
+/// is a warning.
+void check_fault_event(const FaultEvent& event, std::size_t num_workers,
+                       const std::string& prefix, util::Diagnostics& diagnostics);
+
+/// check_fault_event over every event of a programmatic plan; throws the
+/// first error as a util::SpecError naming `context`.
 void validate_fault_plan(const FaultPlan& plan, std::size_t num_workers,
                          const std::string& context);
 
-/// Parses a JSON array of fault events:
+/// Parses the JSON array of fault events found at key path `key`:
 ///   [ {"kind": "outage",       "worker": 3, "at": 10.0, "duration": 15.0},
 ///     {"kind": "degrade_link", "worker": 2, "at": 5.0, "duration": 20.0, "factor": 0.1},
 ///     {"kind": "slow_node",    "worker": 1, "at": 0.0, "duration": 30.0, "factor": 4.0},
 ///     {"kind": "crash",        "worker": 5, "at": 12.5} ]
 /// Entries without "kind" are legacy crash entries ({"worker", "at"}).
-/// Field types and per-kind ranges are checked here with `context`-prefixed
-/// messages; worker indices are range-checked by validate_fault_plan once
-/// the cluster size is known.
-FaultPlan parse_fault_plan(const util::Json& array, const std::string& context);
+/// Records every defect in `diagnostics`: field types, check_fault_event,
+/// windows past `horizon` (<= 0: none), duplicate events, and events on a
+/// worker an earlier-or-equal crash already killed.
+FaultPlan parse_fault_plan(const util::Json& array, util::Diagnostics& diagnostics,
+                           const std::string& key, std::size_t num_workers = 0,
+                           double horizon = 0.0);
+
+/// A standalone fault-plan document (entries keyed "$[i]"), checked against
+/// a cluster of `num_workers`; throws the first error as a util::SpecError
+/// naming `context`.
+FaultPlan parse_fault_plan(const util::Json& array, const std::string& context,
+                           std::size_t num_workers);
 
 /// Aggregated fault/recovery counters for one cluster run.
 struct FaultStats {

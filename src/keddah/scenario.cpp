@@ -10,62 +10,94 @@
 
 namespace keddah::core {
 
+void read_spec_version(util::JsonReader& reader) {
+  const util::Json* api = reader.find("api");
+  if (api != nullptr && (!api->is_string() || api->as_string() != kSpecVersion)) {
+    reader.error("api", "unsupported API version",
+                 std::string("this build speaks \"") + kSpecVersion + "\"");
+  }
+}
+
 namespace {
 
-std::uint64_t parse_size_field(const util::Json& doc, const std::string& key,
-                               std::uint64_t fallback, bool required = false) {
-  if (!doc.contains(key)) {
-    if (required) throw std::invalid_argument("scenario: missing required field '" + key + "'");
-    return fallback;
+ScenarioSpec::JobEntry parse_job(const util::Json& doc, const std::string& key, double horizon,
+                                 util::Diagnostics& diagnostics) {
+  ScenarioSpec::JobEntry job;
+  util::JsonReader r(doc, key, diagnostics);
+  if (!r.is_object()) {
+    diagnostics.error(key, "must be an object");
+    return job;
   }
-  const auto& field = doc.at(key);
-  if (field.is_number()) return static_cast<std::uint64_t>(field.as_number());
-  std::uint64_t bytes = 0;
-  if (!util::parse_bytes(field.as_string(), &bytes)) {
-    throw std::invalid_argument("scenario: bad size in '" + key + "'");
+  const util::Json* workload = r.find("workload");
+  if (workload == nullptr || !workload->is_string()) {
+    r.error("workload", "missing workload name", "one of the names in workloads::all_workloads()");
+  } else {
+    const auto all = workloads::all_workloads();
+    std::vector<std::string> names;
+    for (const auto w : all) names.emplace_back(workloads::workload_name(w));
+    job.workload = all[r.name("workload", names, 0, "workload")];
   }
-  return bytes;
+  job.input_bytes = r.bytes("input", 0, /*required=*/true);
+  job.num_reducers = r.count("reducers", 0, 0.0, "must be >= 0 (0 = auto)");
+  job.submit_at = r.number("submit_at", 0.0);
+  if (job.submit_at < 0.0) {
+    r.error("submit_at", "must be >= 0");
+  } else if (horizon > 0.0 && job.submit_at >= horizon) {
+    r.error("submit_at",
+            util::format("submits at %g s, outside the scenario horizon of %g s", job.submit_at,
+                         horizon),
+            "move the submission before the horizon or raise it");
+  }
+  job.iterations = r.count("iterations", 1, 1.0, "must be >= 1");
+  return job;
 }
 
 }  // namespace
 
-ScenarioSpec parse_scenario(const util::Json& doc, const std::string& context) {
+ScenarioSpec parse_scenario(const util::Json& doc, util::Diagnostics& diagnostics) {
   ScenarioSpec spec;
-  spec.cluster = doc.contains("cluster")
-                     ? hadoop::parse_cluster_config(doc.at("cluster"), context)
-                     : hadoop::default_scenario_cluster();
-  spec.seed = static_cast<std::uint64_t>(doc.get_number("seed", 1));
-  spec.threads = static_cast<std::size_t>(doc.get_number("threads", 0));
-  if (!doc.contains("jobs") || doc.at("jobs").size() == 0) {
-    throw std::invalid_argument("scenario: needs a non-empty 'jobs' array");
+  util::JsonReader r(doc, "", diagnostics);
+  if (!r.is_object()) {
+    diagnostics.error("$", "a scenario must be a JSON object");
+    return spec;
   }
-  for (const auto& entry : doc.at("jobs").as_array()) {
-    ScenarioSpec::JobEntry job;
-    if (!entry.contains("workload")) {
-      throw std::invalid_argument("scenario: job missing 'workload'");
+  read_spec_version(r);
+  spec.seed = r.count("seed", 1, 0.0, "must be >= 0");
+  spec.threads = r.count("threads", 0, 0.0, "must be >= 0 (0 = serial)");
+  const double horizon = r.number("horizon", 0.0);
+  if (r.find("horizon") != nullptr && horizon <= 0.0) {
+    r.error("horizon", "the scenario horizon must be > 0 seconds");
+  }
+  const util::Json* cluster = r.find("cluster");
+  spec.cluster = cluster != nullptr ? hadoop::parse_cluster_config(*cluster, diagnostics)
+                                    : hadoop::default_scenario_cluster();
+  const util::Json* jobs = r.find("jobs");
+  if (jobs == nullptr || !jobs->is_array() || jobs->size() == 0) {
+    r.error("jobs", "a scenario needs a non-empty 'jobs' array",
+            "add at least one {\"workload\": ..., \"input\": ...} entry");
+  } else {
+    for (std::size_t i = 0; i < jobs->size(); ++i) {
+      spec.jobs.push_back(
+          parse_job(jobs->at(i), util::format("jobs[%zu]", i), horizon, diagnostics));
     }
-    job.workload = workloads::workload_from_name(entry.at("workload").as_string());
-    job.input_bytes = parse_size_field(entry, "input", 0, /*required=*/true);
-    if (job.input_bytes == 0) throw std::invalid_argument("scenario: job input must be > 0");
-    job.num_reducers = static_cast<std::size_t>(entry.get_number("reducers", 0));
-    job.submit_at = entry.get_number("submit_at", 0.0);
-    job.iterations = static_cast<std::size_t>(entry.get_number("iterations", 1));
-    if (job.iterations == 0) throw std::invalid_argument("scenario: iterations must be >= 1");
-    spec.jobs.push_back(job);
   }
-  if (doc.contains("faults")) {
-    spec.faults = hadoop::parse_fault_plan(doc.at("faults"), context);
+  // "failures" is the legacy alias: each {"worker", "at"} entry is a crash.
+  // Each array is checked on its own, under its own key.
+  for (const char* key : {"faults", "failures"}) {
+    if (const util::Json* faults = r.find(key)) {
+      const auto plan = hadoop::parse_fault_plan(*faults, diagnostics, key,
+                                                 spec.cluster.num_workers(), horizon);
+      spec.faults.events.insert(spec.faults.events.end(), plan.events.begin(),
+                                plan.events.end());
+    }
   }
-  if (doc.contains("failures")) {
-    // Legacy alias: each {"worker", "at"} entry is a permanent crash.
-    const hadoop::FaultPlan legacy =
-        hadoop::parse_fault_plan(doc.at("failures"), context + " (failures)");
-    spec.faults.events.insert(spec.faults.events.end(), legacy.events.begin(),
-                              legacy.events.end());
-  }
-  // Range-check worker indices against the cluster described alongside them,
-  // so a bad scenario file fails at parse time with its own name attached.
-  hadoop::validate_fault_plan(spec.faults, spec.cluster.num_workers(), context);
+  return spec;
+}
+
+ScenarioSpec parse_scenario(const util::Json& doc, const std::string& context) {
+  util::Diagnostics diagnostics(context);
+  ScenarioSpec spec = parse_scenario(doc, diagnostics);
+  diagnostics.throw_first_error();
   return spec;
 }
 

@@ -53,6 +53,7 @@
 #include "hadoop/cluster.h"
 #include "hadoop/joblog.h"
 #include "util/json.h"
+#include "util/json_reader.h"
 #include "workloads/profiles.h"
 
 namespace keddah::core {
@@ -87,9 +88,23 @@ struct ScenarioSpec {
   std::string spill_dir;
 };
 
-/// Parses a scenario document; throws std::invalid_argument /
-/// std::runtime_error with a field-specific message on malformed input.
-/// `context` names the source (file path, ...) in those messages.
+/// The Spec API wire-format version (api/specs.h). Any spec document may
+/// carry it as "api"; a scenario document is a /v1/whatif request body.
+inline constexpr const char* kSpecVersion = "v1";
+
+/// Reads a document's optional "api" tag: a version this build does not
+/// speak is an error, so a v2 client gets a crisp rejection, not a misparse.
+void read_spec_version(util::JsonReader& reader);
+
+/// Parses a scenario document, recording every defect in `diagnostics`:
+/// field types and ranges, the cluster (hadoop::parse_cluster_config), job
+/// submissions and fault windows inside "horizon", and the fault plans
+/// (hadoop::parse_fault_plan) against the cluster's size. keddah-lint
+/// reports exactly these diagnostics.
+ScenarioSpec parse_scenario(const util::Json& doc, util::Diagnostics& diagnostics);
+
+/// As above, throwing the first error as a util::SpecError
+/// ("<context>: <key>: <message> (<hint>)").
 ScenarioSpec parse_scenario(const util::Json& doc,
                             const std::string& context = "scenario");
 

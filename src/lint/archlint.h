@@ -5,7 +5,7 @@
 // stay a DAG that matches the declared layering, and the scheduler/serve
 // hot paths must not silently re-grow per-event heap allocation. archlint
 // is the third static pass (after keddah-lint and keddah-detlint), sharing
-// the lint/diagnostic formatter and the fixture/CI replay pattern.
+// the util/diagnostic formatter and the fixture/CI replay pattern.
 //
 // Pass 1 — layering. The `#include` graph over the scanned sources is
 // collapsed to modules (a file's module is the directory component after
@@ -52,7 +52,6 @@
 #include <string>
 #include <vector>
 
-#include "lint/diagnostic.h"
 #include "lint/source.h"
 #include "util/json.h"
 

@@ -6,7 +6,6 @@
 #include <regex>
 #include <set>
 
-#include "lint/diagnostic.h"
 #include "util/strings.h"
 
 namespace keddah::lint {
@@ -255,6 +254,13 @@ std::map<std::size_t, std::set<std::string>> harvest_allows(const CleanSource& s
   return allows;
 }
 
+/// True when a component of `path` is "bench" or "perfbench".
+bool under_bench(const std::string& path) {
+  const std::string wrapped = "/" + path + "/";
+  return wrapped.find("/bench/") != std::string::npos ||
+         wrapped.find("/perfbench/") != std::string::npos;
+}
+
 void check_file(const CleanSource& src, const Registry& registry, DetlintReport& report) {
   std::vector<Finding> findings;
   check_range_for(src, registry, findings);
@@ -274,8 +280,12 @@ void check_file(const CleanSource& src, const Registry& registry, DetlintReport&
   const std::string wall_hint =
       "simulated time comes from sim::Simulator::now(); benches measuring real "
       "elapsed time belong under bench/, not src/";
-  check_regex_rule(src, chrono_clock_re, "wall-clock", wall_msg, wall_hint, findings);
-  check_regex_rule(src, c_time_re, "wall-clock", wall_msg, wall_hint, findings);
+  // Benches measure real elapsed time by design, so the rule's own advice
+  // exempts them.
+  if (!under_bench(src.path)) {
+    check_regex_rule(src, chrono_clock_re, "wall-clock", wall_msg, wall_hint, findings);
+    check_regex_rule(src, c_time_re, "wall-clock", wall_msg, wall_hint, findings);
+  }
 
   static const std::regex bare_mutex_re(
       R"(std\s*::\s*(?:mutex|timed_mutex|recursive_mutex|recursive_timed_mutex|shared_mutex|shared_timed_mutex|condition_variable|condition_variable_any|lock_guard|unique_lock|scoped_lock|shared_lock)\b)");

@@ -15,7 +15,9 @@
 //                    randomness must derive from util::derive_seed
 //   wall-clock       std::chrono::{system,steady,high_resolution}_clock,
 //                    time(nullptr), gettimeofday, clock_gettime — wall
-//                    time inside simulation code breaks replay
+//                    time inside simulation code breaks replay. Files
+//                    under a bench/ or perfbench/ path component are
+//                    exempt: benches time real elapsed work by design
 //   bare-mutex       std::mutex / std::condition_variable / std::lock_guard
 //                    and friends outside the annotated util/mutex.h
 //                    wrappers — bypasses the Clang thread-safety analysis
@@ -40,12 +42,11 @@
 #include <string>
 #include <vector>
 
-#include "lint/diagnostic.h"
 #include "lint/source.h"
 
 namespace keddah::lint {
 
-/// Result of one scan. Each finding is a lint::Diagnostic with `line` and
+/// Result of one scan. Each finding is a util::Diagnostic with `line` and
 /// `rule` set ("file: line N: [rule] message (hint)" via the one formatter).
 struct DetlintReport {
   std::vector<Diagnostic> diagnostics;  // sorted by (file, line, rule)

@@ -1,519 +1,220 @@
 #include "lint/lint.h"
 
-#include "lint/diagnostic.h"
-
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <ostream>
 #include <set>
-#include <stdexcept>
 
-#include "hadoop/config.h"
 #include "hadoop/faults.h"
+#include "keddah/scenario.h"
 #include "net/flow.h"
+#include "util/json_reader.h"
 #include "util/strings.h"
-#include "workloads/profiles.h"
 
 namespace keddah::lint {
 
 namespace {
 
 void add(std::vector<Diagnostic>& out, const std::string& file, std::string key,
-         std::string message, std::string hint = "",
-         Severity severity = Severity::kError) {
-  out.push_back(Diagnostic{severity, file, std::move(key), std::move(message), std::move(hint)});
+         std::string message, std::string hint = "") {
+  out.push_back(Diagnostic{Severity::kError, file, std::move(key), std::move(message),
+                           std::move(hint)});
 }
 
-/// True when `doc` is a JSON number with a finite value. JSON cannot carry
-/// NaN/inf, so the serializer writes them as null — catching nulls here is
-/// what surfaces NaN model parameters.
-bool finite_number(const util::Json& doc) {
-  return doc.is_number() && std::isfinite(doc.as_number());
-}
-
-/// Fetches `key` as a finite number. Missing keys return `fallback` silently
-/// (the parsers default them); present-but-broken values diagnose and return
-/// fallback.
-double checked_number(const util::Json& doc, const std::string& prefix, const std::string& key,
-                      double fallback, const std::string& file, std::vector<Diagnostic>& out) {
-  if (!doc.is_object() || !doc.contains(key)) return fallback;
-  const auto& v = doc.at(key);
-  if (!finite_number(v)) {
-    add(out, file, prefix.empty() ? key : prefix + "." + key,
-        v.is_null() ? "null where a number is expected (NaN/inf serializes as null)"
-                    : "must be a finite number",
-        "replace with a finite numeric value");
-    return fallback;
-  }
-  return v.as_number();
-}
-
-/// Warns about keys the runtime parser would silently ignore — almost always
-/// a typo of a real key.
-void warn_unknown_keys(const util::Json& doc, const std::string& prefix,
-                       const std::set<std::string>& known, const std::string& file,
-                       std::vector<Diagnostic>& out) {
-  if (!doc.is_object()) return;
-  for (const auto& [key, value] : doc.as_object()) {
-    if (known.count(key) == 0) {
-      add(out, file, prefix.empty() ? key : prefix + "." + key,
-          "unknown key (the parser ignores it)", "check the spelling against the schema",
-          Severity::kWarning);
-    }
-  }
-}
-
-/// Byte-size fields accept either a number or a "128 MB"-style string.
-void check_size_field(const util::Json& parent, const std::string& prefix, const std::string& key,
-                      const std::string& file, std::vector<Diagnostic>& out,
-                      bool required = false) {
-  const std::string path = prefix.empty() ? key : prefix + "." + key;
-  if (!parent.contains(key)) {
-    if (required) {
-      add(out, file, path, "missing required key", "add e.g. \"" + key + "\": \"256 MB\"");
-    }
-    return;
-  }
-  const auto& v = parent.at(key);
-  if (v.is_number()) {
-    if (!std::isfinite(v.as_number()) || v.as_number() < 0.0) {
-      add(out, file, path, "byte size must be finite and >= 0");
-    } else if (required && v.as_number() == 0.0) {
-      add(out, file, path, "byte size must be > 0");
-    }
-    return;
-  }
-  std::uint64_t bytes = 0;
-  if (!v.is_string() || !util::parse_bytes(v.as_string(), &bytes)) {
-    add(out, file, path, "unparseable byte size",
-        "use a number of bytes or a string like \"128 MB\"");
-  } else if (required && bytes == 0) {
-    add(out, file, path, "byte size must be > 0");
-  }
-}
-
-/// Cluster size implied by the (possibly partial) cluster object, mirroring
-/// ClusterConfig defaults. `cluster` may be null (no "cluster" key: all
-/// defaults). Returns 0 when the sizing fields are too broken to tell —
-/// callers then skip range checks instead of cascading errors.
-std::size_t sniff_cluster_size(const util::Json* cluster) {
-  hadoop::ClusterConfig cfg;
-  if (cluster == nullptr) return cfg.num_workers();
-  const auto& c = *cluster;
-  if (!c.is_object()) return 0;
-  const std::string topo = c.get_string("topology", "racktree");
-  if (topo == "star") {
-    cfg.topology = hadoop::TopologyKind::kStar;
-  } else if (topo == "fattree") {
-    cfg.topology = hadoop::TopologyKind::kFatTree;
-  } else if (topo != "racktree") {
-    return 0;
-  }
-  const double racks = c.get_number("racks", 4.0);
-  const double hosts = c.get_number("hosts_per_rack", 4.0);
-  const double k = c.get_number("fat_tree_k", 4.0);
-  if (racks < 1.0 || hosts < 1.0 || k < 2.0) return 0;
-  cfg.racks = static_cast<std::size_t>(racks);
-  cfg.hosts_per_rack = static_cast<std::size_t>(hosts);
-  cfg.fat_tree_k = static_cast<std::size_t>(k);
-  return cfg.num_workers();
-}
-
-void lint_cluster(const util::Json& c, const std::string& file, std::vector<Diagnostic>& out) {
-  if (!c.is_object()) {
-    add(out, file, "cluster", "must be an object");
-    return;
-  }
-  warn_unknown_keys(c, "cluster",
-                    {"topology", "racks", "hosts_per_rack", "fat_tree_k", "access_gbps",
-                     "core_gbps", "block_size", "replication", "containers", "slowstart",
-                     "locality_delay_s", "compress_ratio", "speculative", "straggler_fraction"},
-                    file, out);
-  const std::string topo = c.get_string("topology", "racktree");
-  if (topo != "star" && topo != "racktree" && topo != "fattree") {
-    add(out, file, "cluster.topology", "unknown topology '" + topo + "'",
-        "one of: star, racktree, fattree");
-  }
-  const double racks = checked_number(c, "cluster", "racks", 4.0, file, out);
-  const double hosts = checked_number(c, "cluster", "hosts_per_rack", 4.0, file, out);
-  const double k = checked_number(c, "cluster", "fat_tree_k", 4.0, file, out);
-  if (racks < 1.0) add(out, file, "cluster.racks", "must be >= 1");
-  if (hosts < 1.0) add(out, file, "cluster.hosts_per_rack", "must be >= 1");
-  if (topo == "fattree") {
-    if (k < 2.0 || std::fmod(k, 2.0) != 0.0) {
-      add(out, file, "cluster.fat_tree_k", "fat-tree arity must be an even integer >= 2");
-    }
-  }
-  if (checked_number(c, "cluster", "access_gbps", 1.0, file, out) <= 0.0) {
-    add(out, file, "cluster.access_gbps", "access link rate must be > 0");
-  }
-  if (checked_number(c, "cluster", "core_gbps", 10.0, file, out) <= 0.0) {
-    add(out, file, "cluster.core_gbps", "core link rate must be > 0");
-  }
-  check_size_field(c, "cluster", "block_size", file, out);
-  const double replication = checked_number(c, "cluster", "replication", 3.0, file, out);
-  if (replication < 1.0) {
-    add(out, file, "cluster.replication", "replication factor must be >= 1");
-  }
-  const std::size_t cluster_size = sniff_cluster_size(&c);
-  if (cluster_size != 0 && replication > static_cast<double>(cluster_size)) {
-    add(out, file, "cluster.replication",
-        util::format("replication %d exceeds the cluster size (%zu workers)",
-                     static_cast<int>(replication), cluster_size),
-        "lower replication or add racks/hosts");
-  }
-  if (checked_number(c, "cluster", "containers", 4.0, file, out) < 1.0) {
-    add(out, file, "cluster.containers", "containers per node must be >= 1");
-  }
-  const double slowstart = checked_number(c, "cluster", "slowstart", 0.05, file, out);
-  if (slowstart < 0.0 || slowstart > 1.0) {
-    add(out, file, "cluster.slowstart", "slowstart must be in [0, 1]",
-        "it is the map-completion fraction that releases reducers");
-  }
-  if (checked_number(c, "cluster", "locality_delay_s", 2.0, file, out) < 0.0) {
-    add(out, file, "cluster.locality_delay_s", "must be >= 0");
-  }
-  if (checked_number(c, "cluster", "compress_ratio", 1.0, file, out) <= 0.0) {
-    add(out, file, "cluster.compress_ratio", "map-output compression ratio must be > 0");
-  }
-  const double straggler = checked_number(c, "cluster", "straggler_fraction", 0.0, file, out);
-  if (straggler < 0.0 || straggler > 1.0) {
-    add(out, file, "cluster.straggler_fraction", "must be in [0, 1]");
-  }
-  if (c.contains("speculative") && !c.at("speculative").is_bool()) {
-    add(out, file, "cluster.speculative", "must be a boolean");
-  }
-}
-
-void lint_jobs(const util::Json& doc, double horizon, const std::string& file,
-               std::vector<Diagnostic>& out) {
-  if (!doc.contains("jobs") || !doc.at("jobs").is_array() || doc.at("jobs").size() == 0) {
-    add(out, file, "jobs", "a scenario needs a non-empty 'jobs' array",
-        "add at least one {\"workload\": ..., \"input\": ...} entry");
-    return;
-  }
-  const auto& jobs = doc.at("jobs").as_array();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const std::string prefix = util::format("jobs[%zu]", i);
-    const auto& job = jobs[i];
-    if (!job.is_object()) {
-      add(out, file, prefix, "must be an object");
-      continue;
-    }
-    warn_unknown_keys(job, prefix, {"workload", "input", "reducers", "submit_at", "iterations"},
-                      file, out);
-    if (!job.contains("workload") || !job.at("workload").is_string()) {
-      add(out, file, prefix + ".workload", "missing workload name",
-          "one of the names in workloads::all_workloads()");
-    } else {
-      const std::string name = job.at("workload").as_string();
-      try {
-        (void)workloads::workload_from_name(name);
-      } catch (const std::invalid_argument&) {
-        std::vector<std::string> names;
-        for (const auto w : workloads::all_workloads()) {
-          names.emplace_back(workloads::workload_name(w));
-        }
-        add(out, file, prefix + ".workload", "unknown workload '" + name + "'",
-            "one of: " + util::join(names, ", "));
-      }
-    }
-    check_size_field(job, prefix, "input", file, out, /*required=*/true);
-    if (checked_number(job, prefix, "reducers", 0.0, file, out) < 0.0) {
-      add(out, file, prefix + ".reducers", "must be >= 0 (0 = auto)");
-    }
-    const double submit_at = checked_number(job, prefix, "submit_at", 0.0, file, out);
-    if (submit_at < 0.0) {
-      add(out, file, prefix + ".submit_at", "must be >= 0");
-    } else if (horizon > 0.0 && submit_at >= horizon) {
-      add(out, file, prefix + ".submit_at",
-          util::format("submits at %g s, outside the scenario horizon of %g s", submit_at,
-                       horizon),
-          "move the submission before the horizon or raise it");
-    }
-    if (checked_number(job, prefix, "iterations", 1.0, file, out) < 1.0) {
-      add(out, file, prefix + ".iterations", "must be >= 1");
-    }
-  }
-}
-
-/// Per-event and cross-event fault checks shared by embedded fault arrays
-/// and standalone fault-plan files. `num_workers` == 0 skips range checks;
-/// `horizon` <= 0 skips window checks.
-void lint_fault_array(const util::Json& array, const std::string& prefix,
-                      std::size_t num_workers, double horizon, const std::string& file,
-                      std::vector<Diagnostic>& out) {
-  struct Crash {
-    std::size_t worker;
-    double at;
-    std::size_t index;
-  };
-  std::vector<Crash> crashes;
-  std::set<std::string> seen;
-  const auto& events = array.as_array();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const std::string p = util::format("%s[%zu]", prefix.c_str(), i);
-    const auto& e = events[i];
-    if (!e.is_object()) {
-      add(out, file, p, "must be an object");
-      continue;
-    }
-    warn_unknown_keys(e, p, {"kind", "worker", "at", "duration", "factor"}, file, out);
-    std::string kind = e.get_string("kind", "crash");
-    try {
-      (void)hadoop::fault_kind_from_name(kind);
-    } catch (const std::invalid_argument&) {
-      add(out, file, p + ".kind", "unknown fault kind '" + kind + "'",
-          "one of: crash, outage, degrade_link, slow_node");
-      continue;
-    }
-    if (!e.contains("worker")) {
-      add(out, file, p + ".worker", "missing required key",
-          "index into the cluster's worker list");
-      continue;
-    }
-    const double worker_raw = checked_number(e, p, "worker", -1.0, file, out);
-    if (worker_raw < 0.0 || std::fmod(worker_raw, 1.0) != 0.0) {
-      add(out, file, p + ".worker", "must be a non-negative integer");
-      continue;
-    }
-    const std::size_t worker = static_cast<std::size_t>(worker_raw);
-    if (worker == 0) {
-      add(out, file, p + ".worker", "worker 0 co-hosts the master and cannot be faulted",
-          "fault a worker index >= 1");
-    } else if (num_workers != 0 && worker >= num_workers) {
-      add(out, file, p + ".worker",
-          util::format("worker %zu does not exist (cluster has workers 0..%zu)", worker,
-                       num_workers - 1),
-          "use an index below the cluster size or grow the cluster");
-    }
-    const double at = checked_number(e, p, "at", 0.0, file, out);
-    const double duration = checked_number(e, p, "duration", 0.0, file, out);
-    const double factor = checked_number(e, p, "factor", 0.0, file, out);
-    if (at < 0.0) add(out, file, p + ".at", "injection time must be >= 0");
-    if (kind == "crash") {
-      if (duration != 0.0) {
-        add(out, file, p + ".duration", "crashes are permanent; 'duration' is ignored",
-            "use kind \"outage\" for a transient failure", Severity::kWarning);
-      }
-      crashes.push_back({worker, at, i});
-    } else {
-      if (duration <= 0.0) {
-        add(out, file, p + ".duration", "transient faults need a window length > 0");
-      }
-      if (kind == "degrade_link" && (factor <= 0.0 || factor >= 1.0)) {
-        add(out, file, p + ".factor", "degrade_link factor must be in (0, 1)",
-            "it multiplies the access-link capacity");
-      }
-      if (kind == "slow_node" && factor <= 1.0) {
-        add(out, file, p + ".factor", "slow_node factor must be > 1",
-            "it multiplies compute time");
-      }
-    }
-    if (horizon > 0.0 && at + duration > horizon) {
-      add(out, file, p,
-          util::format("fault window [%g, %g] extends past the scenario horizon of %g s", at,
-                       at + duration, horizon),
-          "shorten the window or raise the horizon");
-    }
-    const std::string signature = util::format("%s w%zu at%g", kind.c_str(), worker, at);
-    if (!seen.insert(signature).second) {
-      add(out, file, p,
-          util::format("duplicate fault: %s on worker %zu at %g s already scheduled",
-                       kind.c_str(), worker, at),
-          "remove the repeated entry");
-    }
-  }
-  // Nothing can be injected into a permanently crashed node: a crash at t
-  // followed by any event on the same worker at a later time never fires
-  // (and a "recovery" the author expected silently does not happen).
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto& e = events[i];
-    if (!e.is_object() || !e.contains("worker") || !finite_number(e.at("worker"))) continue;
-    const auto worker = static_cast<std::size_t>(e.at("worker").as_number());
-    const double at = e.get_number("at", 0.0);
-    for (const auto& crash : crashes) {
-      if (crash.index != i && crash.worker == worker && crash.at <= at) {
-        add(out, file, util::format("%s[%zu]", prefix.c_str(), i),
-            util::format("worker %zu is permanently crashed by %s[%zu] at %g s; this event "
-                         "never takes effect",
-                         worker, prefix.c_str(), crash.index, crash.at),
-            "use kind \"outage\" for a recoverable failure, or retarget the event");
-        break;
-      }
-    }
-  }
+void append(std::vector<Diagnostic>& out, util::Diagnostics& diagnostics) {
+  for (auto& d : diagnostics.take()) out.push_back(std::move(d));
 }
 
 // ---------------------------------------------------------------------------
 // Model linting.
 
 /// Family-specific parameter domains, from stats::Distribution's factories.
-void lint_distribution(const util::Json& d, const std::string& prefix, const std::string& file,
-                       std::vector<Diagnostic>& out) {
-  if (!d.is_object()) {
-    add(out, file, prefix, "must be an object {family, p1, p2}");
+void lint_distribution(const util::Json& doc, const std::string& prefix,
+                       util::Diagnostics& diagnostics) {
+  util::JsonReader r(doc, prefix, diagnostics);
+  if (!r.is_object()) {
+    diagnostics.error(prefix, "must be an object {family, p1, p2}");
     return;
   }
-  warn_unknown_keys(d, prefix, {"family", "p1", "p2"}, file, out);
-  const std::string family = d.get_string("family", "");
+  const util::Json* family_value = r.find("family");
+  const std::optional<double> p1 = r.finite("p1");
+  const bool has_p2 = r.find("p2") != nullptr;
+  const std::optional<double> p2_value = r.finite("p2");
+  const std::string family =
+      family_value != nullptr && family_value->is_string() ? family_value->as_string() : "";
   static const std::set<std::string> kFamilies = {"exponential", "normal", "lognormal",
                                                   "weibull",     "gamma",  "pareto",
                                                   "uniform",     "constant"};
   if (kFamilies.count(family) == 0) {
-    add(out, file, prefix + ".family", "unknown distribution family '" + family + "'",
-        "one of: " + util::join({kFamilies.begin(), kFamilies.end()}, ", "));
+    r.error("family", "unknown distribution family '" + family + "'",
+            "one of: " + util::join({kFamilies.begin(), kFamilies.end()}, ", "));
     return;
   }
-  if (!d.contains("p1") || !finite_number(d.at("p1"))) {
-    add(out, file, prefix + ".p1",
-        "parameter must be a finite number (NaN/inf serializes as null)",
-        "refit the distribution or drop the parametric block");
+  if (!p1) {
+    r.error("p1", "parameter must be a finite number (NaN/inf serializes as null)",
+            "refit the distribution or drop the parametric block");
     return;
   }
-  const double p1 = d.at("p1").as_number();
-  const double p2 =
-      d.contains("p2") && finite_number(d.at("p2")) ? d.at("p2").as_number() : 0.0;
-  if (d.contains("p2") && !finite_number(d.at("p2"))) {
-    add(out, file, prefix + ".p2",
-        "parameter must be a finite number (NaN/inf serializes as null)");
+  if (has_p2 && !p2_value) {
+    r.error("p2", "parameter must be a finite number (NaN/inf serializes as null)");
     return;
   }
-  if (family == "exponential" && p1 <= 0.0) {
-    add(out, file, prefix + ".p1", "exponential rate must be > 0");
+  const double p2 = p2_value.value_or(0.0);
+  if (family == "exponential" && *p1 <= 0.0) {
+    r.error("p1", "exponential rate must be > 0");
   } else if ((family == "normal" || family == "lognormal") && p2 < 0.0) {
-    add(out, file, prefix + ".p2", family + " spread must be >= 0");
+    r.error("p2", family + " spread must be >= 0");
   } else if ((family == "weibull" || family == "gamma" || family == "pareto") &&
-             (p1 <= 0.0 || p2 <= 0.0)) {
-    add(out, file, prefix + (p1 <= 0.0 ? ".p1" : ".p2"),
-        family + " parameters must both be > 0");
-  } else if (family == "uniform" && p2 < p1) {
-    add(out, file, prefix + ".p2", "uniform upper bound is below the lower bound",
-        "swap p1 and p2");
+             (*p1 <= 0.0 || p2 <= 0.0)) {
+    r.error(*p1 <= 0.0 ? "p1" : "p2", family + " parameters must both be > 0");
+  } else if (family == "uniform" && p2 < *p1) {
+    r.error("p2", "uniform upper bound is below the lower bound", "swap p1 and p2");
   }
 }
 
-void lint_linear_fit(const util::Json& f, const std::string& prefix, const std::string& file,
-                     std::vector<Diagnostic>& out) {
-  if (!f.is_object()) {
-    add(out, file, prefix, "must be an object {slope, intercept, r2, n}");
+void lint_linear_fit(const util::Json& doc, const std::string& prefix,
+                     util::Diagnostics& diagnostics) {
+  util::JsonReader r(doc, prefix, diagnostics);
+  r.accept_unknown_keys();
+  if (!r.is_object()) {
+    diagnostics.error(prefix, "must be an object {slope, intercept, r2, n}");
     return;
   }
   for (const char* key : {"slope", "intercept"}) {
-    if (!f.contains(key) || !finite_number(f.at(key))) {
-      add(out, file, prefix + "." + key,
-          "must be a finite number (NaN/inf serializes as null)", "refit the regression");
+    if (!r.finite(key)) {
+      r.error(key, "must be a finite number (NaN/inf serializes as null)", "refit the regression");
     }
   }
-  if (f.contains("r2") && finite_number(f.at("r2")) && f.at("r2").as_number() > 1.0 + 1e-9) {
-    add(out, file, prefix + ".r2", "coefficient of determination cannot exceed 1");
+  const std::optional<double> r2 = r.finite("r2");
+  if (r2 && *r2 > 1.0 + 1e-9) {
+    r.error("r2", "coefficient of determination cannot exceed 1");
   }
-  if (checked_number(f, prefix, "n", 0.0, file, out) < 0.0) {
-    add(out, file, prefix + ".n", "sample count must be >= 0");
-  }
+  if (r.number("n", 0.0) < 0.0) r.error("n", "sample count must be >= 0");
 }
 
 /// An ECDF serialized as its sorted sample values: every entry finite and
 /// the sequence non-decreasing.
-void lint_ecdf(const util::Json& arr, const std::string& prefix, const std::string& file,
-               std::vector<Diagnostic>& out) {
+void lint_ecdf(const util::Json& arr, const std::string& prefix, util::Diagnostics& diagnostics) {
   if (!arr.is_array()) {
-    add(out, file, prefix, "must be an array of sorted sample values");
+    diagnostics.error(prefix, "must be an array of sorted sample values");
     return;
   }
   const auto& values = arr.as_array();
   double prev = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (!finite_number(values[i])) {
-      add(out, file, util::format("%s[%zu]", prefix.c_str(), i),
-          "ECDF sample must be a finite number (NaN/inf serializes as null)");
+    if (!values[i].is_number() || !std::isfinite(values[i].as_number())) {
+      diagnostics.error(util::format("%s[%zu]", prefix.c_str(), i),
+                        "ECDF sample must be a finite number (NaN/inf serializes as null)");
       return;
     }
     const double v = values[i].as_number();
     if (v < prev) {
-      add(out, file, util::format("%s[%zu]", prefix.c_str(), i),
-          util::format("ECDF is not non-decreasing: %g after %g", v, prev),
-          "re-sort the samples; quantile lookups binary-search this array");
+      diagnostics.error(util::format("%s[%zu]", prefix.c_str(), i),
+                        util::format("ECDF is not non-decreasing: %g after %g", v, prev),
+                        "re-sort the samples; quantile lookups binary-search this array");
       return;
     }
     prev = v;
   }
 }
 
-void lint_class_model(const util::Json& cls, const std::string& prefix, const std::string& file,
-                      std::vector<Diagnostic>& out) {
-  if (!cls.is_object()) {
-    add(out, file, prefix, "must be an object {size, count, temporal, ...}");
+void lint_size_model(const util::Json& doc, const std::string& prefix,
+                     util::Diagnostics& diagnostics) {
+  util::JsonReader r(doc, prefix, diagnostics);
+  r.accept_unknown_keys();
+  if (!r.is_object()) {
+    diagnostics.error(prefix, "must be an object");
     return;
   }
-  warn_unknown_keys(cls, prefix, {"size", "count", "temporal", "training_flows", "training_bytes"},
-                    file, out);
-  if (cls.contains("size")) {
-    const auto& size = cls.at("size");
-    const std::string sp = prefix + ".size";
-    if (!size.is_object()) {
-      add(out, file, sp, "must be an object");
-    } else {
-      if (size.contains("parametric")) {
-        lint_distribution(size.at("parametric"), sp + ".parametric", file, out);
-      }
-      const double ks = checked_number(size, sp, "ks", 0.0, file, out);
-      if (ks < 0.0 || ks > 1.0) {
-        add(out, file, sp + ".ks", "a KS distance lies in [0, 1]");
-      }
-      const double pvalue = checked_number(size, sp, "ks_pvalue", 0.0, file, out);
-      if (pvalue < 0.0 || pvalue > 1.0) {
-        add(out, file, sp + ".ks_pvalue", "a p-value lies in [0, 1]");
-      }
-      const std::string kind = size.get_string("kind", "parametric");
-      if (kind != "parametric" && kind != "empirical") {
-        add(out, file, sp + ".kind", "unknown size-model kind '" + kind + "'",
-            "one of: parametric, empirical");
-      }
-      if (kind == "parametric" && !size.contains("parametric")) {
-        add(out, file, sp + ".parametric", "kind is \"parametric\" but no distribution is given",
+  const util::Json* parametric = r.find("parametric");
+  if (parametric != nullptr) lint_distribution(*parametric, r.key("parametric"), diagnostics);
+  const double ks = r.number("ks", 0.0);
+  if (ks < 0.0 || ks > 1.0) r.error("ks", "a KS distance lies in [0, 1]");
+  const double pvalue = r.number("ks_pvalue", 0.0);
+  if (pvalue < 0.0 || pvalue > 1.0) r.error("ks_pvalue", "a p-value lies in [0, 1]");
+  const std::string kind = doc.get_string("kind", "parametric");
+  if (kind != "parametric" && kind != "empirical") {
+    r.error("kind", "unknown size-model kind '" + kind + "'", "one of: parametric, empirical");
+  }
+  if (kind == "parametric" && parametric == nullptr) {
+    r.error("parametric", "kind is \"parametric\" but no distribution is given",
             "add a {family, p1, p2} block or switch kind to \"empirical\"");
-      }
-      if (size.contains("empirical")) lint_ecdf(size.at("empirical"), sp + ".empirical", file, out);
-      if (kind == "empirical" &&
-          (!size.contains("empirical") || size.at("empirical").size() == 0)) {
-        add(out, file, sp + ".empirical", "kind is \"empirical\" but the sample array is empty");
-      }
-    }
   }
-  if (cls.contains("count")) {
-    const auto& count = cls.at("count");
-    const std::string cp = prefix + ".count";
-    if (!count.is_object()) {
-      add(out, file, cp, "must be an object");
-    } else {
-      if (count.contains("fit")) lint_linear_fit(count.at("fit"), cp + ".fit", file, out);
-    }
+  const util::Json* empirical = r.find("empirical");
+  if (empirical != nullptr) lint_ecdf(*empirical, r.key("empirical"), diagnostics);
+  if (kind == "empirical" && (empirical == nullptr || empirical->size() == 0)) {
+    r.error("empirical", "kind is \"empirical\" but the sample array is empty");
   }
-  if (cls.contains("temporal")) {
-    const auto& temporal = cls.at("temporal");
-    const std::string tp = prefix + ".temporal";
-    if (!temporal.is_object()) {
-      add(out, file, tp, "must be an object");
-    } else {
-      if (temporal.contains("offsets")) lint_ecdf(temporal.at("offsets"), tp + ".offsets", file, out);
-      const double start = checked_number(temporal, tp, "phase_start_frac", 0.0, file, out);
-      const double end = checked_number(temporal, tp, "phase_end_frac", 1.0, file, out);
-      if (start < 0.0 || start > 1.0) {
-        add(out, file, tp + ".phase_start_frac", "phase fraction must be in [0, 1]");
-      }
-      if (end < 0.0 || end > 1.0) {
-        add(out, file, tp + ".phase_end_frac", "phase fraction must be in [0, 1]");
-      }
-      if (start > end) {
-        add(out, file, tp + ".phase_start_frac", "phase starts after it ends",
+}
+
+void lint_temporal_model(const util::Json& doc, const std::string& prefix,
+                         util::Diagnostics& diagnostics) {
+  util::JsonReader r(doc, prefix, diagnostics);
+  r.accept_unknown_keys();
+  if (!r.is_object()) {
+    diagnostics.error(prefix, "must be an object");
+    return;
+  }
+  if (const util::Json* offsets = r.find("offsets")) {
+    lint_ecdf(*offsets, r.key("offsets"), diagnostics);
+  }
+  const double start = r.number("phase_start_frac", 0.0);
+  const double end = r.number("phase_end_frac", 1.0);
+  if (start < 0.0 || start > 1.0) {
+    r.error("phase_start_frac", "phase fraction must be in [0, 1]");
+  }
+  if (end < 0.0 || end > 1.0) r.error("phase_end_frac", "phase fraction must be in [0, 1]");
+  if (start > end) {
+    r.error("phase_start_frac", "phase starts after it ends",
             "swap phase_start_frac and phase_end_frac");
-      }
+  }
+}
+
+void lint_class_model(const util::Json& doc, const std::string& prefix,
+                      util::Diagnostics& diagnostics) {
+  util::JsonReader r(doc, prefix, diagnostics);
+  if (!r.is_object()) {
+    diagnostics.error(prefix, "must be an object {size, count, temporal, ...}");
+    return;
+  }
+  (void)r.find("training_flows");  // a plain count; the loader takes any value
+  if (const util::Json* size = r.find("size")) lint_size_model(*size, r.key("size"), diagnostics);
+  if (const util::Json* count = r.find("count")) {
+    if (!count->is_object()) {
+      r.error("count", "must be an object");
+    } else if (count->contains("fit")) {
+      lint_linear_fit(count->at("fit"), r.key("count") + ".fit", diagnostics);
     }
   }
-  if (checked_number(cls, prefix, "training_bytes", 0.0, file, out) < 0.0) {
-    add(out, file, prefix + ".training_bytes", "must be >= 0");
+  if (const util::Json* temporal = r.find("temporal")) {
+    lint_temporal_model(*temporal, r.key("temporal"), diagnostics);
   }
+  if (r.number("training_bytes", 0.0) < 0.0) r.error("training_bytes", "must be >= 0");
+}
+
+void lint_context(const util::Json& doc, util::Diagnostics& diagnostics) {
+  util::JsonReader r(doc, "context", diagnostics);
+  if (!r.is_object()) {
+    diagnostics.error("context", "must be an object");
+    return;
+  }
+  (void)r.find("num_runs");  // informational; the loader takes any value
+  if (r.number("block_size", 1.0) <= 0.0) r.error("block_size", "must be > 0");
+  const double replication = r.number("replication", 1.0);
+  const double nodes = r.number("cluster_nodes", 1.0);
+  if (replication < 1.0) r.error("replication", "must be >= 1");
+  if (nodes < 1.0) r.error("cluster_nodes", "must be >= 1");
+  if (nodes >= 1.0 && replication > nodes) {
+    r.error("replication",
+            util::format("replication %g exceeds the training cluster size (%g nodes)",
+                         replication, nodes),
+            "the model was trained under an impossible configuration; retrain");
+  }
+  const double lo = r.number("min_input_bytes", 0.0);
+  const double hi = r.number("max_input_bytes", 0.0);
+  if (lo > hi) r.error("min_input_bytes", "training input range is inverted");
 }
 
 std::set<std::string> modelled_class_keys() {
@@ -522,6 +223,52 @@ std::set<std::string> modelled_class_keys() {
     keys.insert(net::flow_kind_name(static_cast<net::FlowKind>(i)));
   }
   return keys;
+}
+
+void check_model(const util::Json& doc, util::Diagnostics& diagnostics) {
+  util::JsonReader r(doc, "", diagnostics);
+  if (!r.is_object()) {
+    diagnostics.error("$", "a model must be a JSON object");
+    return;
+  }
+  const util::Json* job_name = r.find("job_name");
+  if (job_name == nullptr || !job_name->is_string() || job_name->as_string().empty()) {
+    r.error("job_name", "missing or empty job name", "name the workload the model was trained on");
+  }
+  if (const util::Json* context = r.find("context")) lint_context(*context, diagnostics);
+  if (const util::Json* fit = r.find("duration_vs_input")) {
+    lint_linear_fit(*fit, "duration_vs_input", diagnostics);
+  }
+  const std::set<std::string> class_keys = modelled_class_keys();
+  if (const util::Json* classes = r.find("classes")) {
+    if (!classes->is_object()) {
+      r.error("classes", "must map class names to class models");
+    } else {
+      for (const auto& [key, cls] : classes->as_object()) {
+        if (class_keys.count(key) == 0) {
+          diagnostics.warning(
+              "classes." + key, "unknown traffic class (the loader ignores it)",
+              "one of: " + util::join({class_keys.begin(), class_keys.end()}, ", "));
+          continue;
+        }
+        lint_class_model(cls, "classes." + key, diagnostics);
+      }
+    }
+  }
+  if (const util::Json* volumes = r.find("volume_vs_input")) {
+    if (!volumes->is_object()) {
+      r.error("volume_vs_input", "must map class names to linear fits");
+    } else {
+      for (const auto& [key, fit] : volumes->as_object()) {
+        if (class_keys.count(key) == 0) {
+          diagnostics.warning("volume_vs_input." + key,
+                              "unknown traffic class (the loader ignores it)");
+          continue;
+        }
+        lint_linear_fit(fit, "volume_vs_input." + key, diagnostics);
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -554,38 +301,9 @@ std::size_t LintReport::num_warnings() const {
 
 void lint_scenario(const util::Json& doc, const std::string& file,
                    std::vector<Diagnostic>& out) {
-  if (!doc.is_object()) {
-    add(out, file, "$", "a scenario must be a JSON object");
-    return;
-  }
-  // "api" admits Spec-API request envelopes (api/specs.h): a /v1/whatif
-  // request body is a scenario document optionally tagged with its wire
-  // version.
-  warn_unknown_keys(doc, "",
-                    {"api", "seed", "threads", "cluster", "jobs", "faults", "failures", "horizon"},
-                    file, out);
-  if (checked_number(doc, "", "seed", 1.0, file, out) < 0.0) {
-    add(out, file, "seed", "must be >= 0");
-  }
-  if (checked_number(doc, "", "threads", 0.0, file, out) < 0.0) {
-    add(out, file, "threads", "must be >= 0 (0 = serial)");
-  }
-  const double horizon = checked_number(doc, "", "horizon", 0.0, file, out);
-  if (doc.contains("horizon") && horizon <= 0.0) {
-    add(out, file, "horizon", "the scenario horizon must be > 0 seconds");
-  }
-  if (doc.contains("cluster")) lint_cluster(doc.at("cluster"), file, out);
-  lint_jobs(doc, horizon, file, out);
-  const std::size_t num_workers =
-      sniff_cluster_size(doc.contains("cluster") ? &doc.at("cluster") : nullptr);
-  for (const char* key : {"faults", "failures"}) {
-    if (!doc.contains(key)) continue;
-    if (!doc.at(key).is_array()) {
-      add(out, file, key, "must be an array of fault events");
-      continue;
-    }
-    lint_fault_array(doc.at(key), key, num_workers, horizon, file, out);
-  }
+  util::Diagnostics diagnostics(file);
+  (void)core::parse_scenario(doc, diagnostics);
+  append(out, diagnostics);
 }
 
 void lint_fault_plan(const util::Json& array, const std::string& file,
@@ -596,87 +314,15 @@ void lint_fault_plan(const util::Json& array, const std::string& file,
   }
   // Standalone plans carry no cluster, so worker range and horizon checks
   // wait until the plan is paired with a scenario.
-  lint_fault_array(array, "$", /*num_workers=*/0, /*horizon=*/0.0, file, out);
+  util::Diagnostics diagnostics(file);
+  (void)hadoop::parse_fault_plan(array, diagnostics, "$");
+  append(out, diagnostics);
 }
 
 void lint_model(const util::Json& doc, const std::string& file, std::vector<Diagnostic>& out) {
-  if (!doc.is_object()) {
-    add(out, file, "$", "a model must be a JSON object");
-    return;
-  }
-  warn_unknown_keys(doc, "",
-                    {"job_name", "context", "duration_vs_input", "classes", "volume_vs_input"},
-                    file, out);
-  if (!doc.contains("job_name") || !doc.at("job_name").is_string() ||
-      doc.at("job_name").as_string().empty()) {
-    add(out, file, "job_name", "missing or empty job name",
-        "name the workload the model was trained on");
-  }
-  if (doc.contains("context")) {
-    const auto& ctx = doc.at("context");
-    if (!ctx.is_object()) {
-      add(out, file, "context", "must be an object");
-    } else {
-      warn_unknown_keys(ctx, "context",
-                        {"block_size", "replication", "cluster_nodes", "num_runs",
-                         "min_input_bytes", "max_input_bytes"},
-                        file, out);
-      if (checked_number(ctx, "context", "block_size", 1.0, file, out) <= 0.0) {
-        add(out, file, "context.block_size", "must be > 0");
-      }
-      const double replication = checked_number(ctx, "context", "replication", 1.0, file, out);
-      const double nodes = checked_number(ctx, "context", "cluster_nodes", 1.0, file, out);
-      if (replication < 1.0) add(out, file, "context.replication", "must be >= 1");
-      if (nodes < 1.0) add(out, file, "context.cluster_nodes", "must be >= 1");
-      if (nodes >= 1.0 && replication > nodes) {
-        add(out, file, "context.replication",
-            util::format("replication %g exceeds the training cluster size (%g nodes)",
-                         replication, nodes),
-            "the model was trained under an impossible configuration; retrain");
-      }
-      const double lo = checked_number(ctx, "context", "min_input_bytes", 0.0, file, out);
-      const double hi = checked_number(ctx, "context", "max_input_bytes", 0.0, file, out);
-      if (lo > hi) {
-        add(out, file, "context.min_input_bytes", "training input range is inverted");
-      }
-    }
-  }
-  if (doc.contains("duration_vs_input")) {
-    lint_linear_fit(doc.at("duration_vs_input"), "duration_vs_input", file, out);
-  }
-  const std::set<std::string> class_keys = modelled_class_keys();
-  if (doc.contains("classes")) {
-    const auto& classes = doc.at("classes");
-    if (!classes.is_object()) {
-      add(out, file, "classes", "must map class names to class models");
-    } else {
-      for (const auto& [key, cls] : classes.as_object()) {
-        if (class_keys.count(key) == 0) {
-          add(out, file, "classes." + key,
-              "unknown traffic class (the loader ignores it)",
-              "one of: " + util::join({class_keys.begin(), class_keys.end()}, ", "),
-              Severity::kWarning);
-          continue;
-        }
-        lint_class_model(cls, "classes." + key, file, out);
-      }
-    }
-  }
-  if (doc.contains("volume_vs_input")) {
-    const auto& volumes = doc.at("volume_vs_input");
-    if (!volumes.is_object()) {
-      add(out, file, "volume_vs_input", "must map class names to linear fits");
-    } else {
-      for (const auto& [key, fit] : volumes.as_object()) {
-        if (class_keys.count(key) == 0) {
-          add(out, file, "volume_vs_input." + key, "unknown traffic class (the loader ignores it)",
-              "", Severity::kWarning);
-          continue;
-        }
-        lint_linear_fit(fit, "volume_vs_input." + key, file, out);
-      }
-    }
-  }
+  util::Diagnostics diagnostics(file);
+  check_model(doc, diagnostics);
+  append(out, diagnostics);
 }
 
 void lint_model_bank(const util::Json& doc, const std::string& file,
@@ -739,7 +385,7 @@ void print_report(const LintReport& report, std::ostream& os) {
   for (const auto severity : {Severity::kError, Severity::kWarning}) {
     for (const auto& d : report.diagnostics) {
       if (d.severity != severity) continue;
-      print_diagnostic_line(os, d.severity == Severity::kError, d.to_string());
+      util::print_diagnostic_line(os, d.severity == Severity::kError, d.to_string());
     }
   }
 }

@@ -1,26 +1,29 @@
 // keddah-lint: static validation of the JSON artifacts the toolchain
 // consumes — scenario files, standalone fault plans, fitted model files, and
-// model banks. The runtime parsers throw on the first malformed field; the
-// linter instead walks the whole document and reports *every* defect, each
-// naming the file, the JSON key path, what is wrong, and how to fix it, so a
-// scenario author can repair a file in one pass without running anything.
+// model banks. Every defect is reported, each naming the file, the JSON key
+// path, what is wrong, and how to fix it, so a scenario author can repair a
+// file in one pass without running anything.
 //
-// The checks encode invariants the simulator depends on (DESIGN.md §"Static
-// checks"): fault plans must reference live workers inside the scenario
-// horizon and must not schedule recovery of a permanently crashed node;
-// fitted ECDFs must be non-decreasing; distribution parameters must be
-// finite and within their family's domain; replication cannot exceed the
-// cluster size.
+// Scenarios and fault plans are linted by their runtime parsers
+// (core::parse_scenario, hadoop::parse_fault_plan) in collecting mode: lint
+// rejects exactly what `keddah run-scenario` and `keddah serve` reject.
+// Fitted models and model banks are checked here (DESIGN.md §"Static
+// checks"): ECDFs must be non-decreasing, distribution parameters finite
+// and within their family's domain, and training replication within the
+// training cluster.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "lint/diagnostic.h"
+#include "util/diagnostic.h"
 #include "util/json.h"
 
 namespace keddah::lint {
+
+using util::Diagnostic;
+using util::Severity;
 
 /// What kind of document a file was recognized as.
 enum class FileKind : std::uint8_t {
@@ -34,8 +37,7 @@ enum class FileKind : std::uint8_t {
 /// Stable kind name ("scenario", "fault_plan", "model", "model_bank").
 const char* file_kind_name(FileKind kind);
 
-// Diagnostic + Severity live in lint/diagnostic.h, shared with detlint and
-// archlint. keddah-lint findings set the `key` locus (JSON key path).
+// keddah-lint findings set the Diagnostic `key` locus (JSON key path).
 
 /// Result of linting one document.
 struct LintReport {

@@ -16,7 +16,13 @@
 #include <utility>
 #include <vector>
 
+#include "util/diagnostic.h"
+
 namespace keddah::lint {
+
+// Findings are util::Diagnostics with the `line` + `rule` locus.
+using util::Diagnostic;
+using util::Severity;
 
 /// An in-memory source file. `path` scopes member lookups (foo.h pairs
 /// with foo.cpp by stem) and names diagnostics.

@@ -9,7 +9,6 @@
 #include "api/specs.h"
 #include "keddah/scenario.h"
 #include "keddah/toolchain.h"
-#include "lint/lint.h"
 #include "util/args.h"
 #include "util/strings.h"
 
@@ -70,11 +69,12 @@ HttpResponse spec_error_response(const api::SpecError& error) {
   return error_response(api::ErrorCode::kSpecInvalid, error.what(), error.to_json());
 }
 
-/// 400 listing every lint error with its key path, keddah-lint style.
-HttpResponse lint_error_response(const std::vector<lint::Diagnostic>& diagnostics) {
+/// 400 listing every error the parse found with its key path, exactly the
+/// errors keddah-lint reports for the body.
+HttpResponse lint_error_response(const std::vector<util::Diagnostic>& diagnostics) {
   util::Json rows = util::Json::array();
   for (const auto& d : diagnostics) {
-    if (d.severity != lint::Severity::kError) continue;
+    if (d.severity != util::Severity::kError) continue;
     util::Json row = util::Json::object();
     row["file"] = util::Json(d.file);
     row["key"] = util::Json(d.key);
@@ -86,12 +86,6 @@ HttpResponse lint_error_response(const std::vector<lint::Diagnostic>& diagnostic
   details["diagnostics"] = std::move(rows);
   return error_response(api::ErrorCode::kLintRejected, "request failed lint",
                         std::move(details));
-}
-
-bool has_lint_errors(const std::vector<lint::Diagnostic>& diagnostics) {
-  return std::any_of(diagnostics.begin(), diagnostics.end(), [](const lint::Diagnostic& d) {
-    return d.severity == lint::Severity::kError;
-  });
 }
 
 HttpOptions http_options_from(const ServeOptions& options) {
@@ -367,11 +361,11 @@ HttpResponse Server::handle_whatif(const HttpRequest& request) {
     return error_response(api::ErrorCode::kBadRequest, e.what(),
                           hint_details("the request body must be a JSON scenario document"));
   }
-  // Lint before running: the linter reports every defective key path in one
-  // pass, where the parser would stop at the first.
-  std::vector<lint::Diagnostic> diagnostics;
-  lint::lint_scenario(doc, "request", diagnostics);
-  if (has_lint_errors(diagnostics)) return lint_error_response(diagnostics);
+  // One collecting parse both checks and reads the body: it reports every
+  // defective key path (keddah-lint's findings), and its result is what runs.
+  util::Diagnostics diagnostics("request");
+  const auto whatif = api::parse_whatif_request(doc, diagnostics);
+  if (diagnostics.has_errors()) return lint_error_response(diagnostics.all());
 
   const std::string canonical = doc.dump(-1);
   const std::uint64_t key = cache_key("whatif", canonical, 0);
@@ -382,7 +376,6 @@ HttpResponse Server::handle_whatif(const HttpRequest& request) {
   }
   AdmissionController::Ticket ticket;
   if (auto refused = admit_cold_work(request, &ticket)) return std::move(*refused);
-  const auto whatif = api::parse_whatif_request(doc, "request");
   const auto outcome = core::run_scenario(whatif.scenario);
   const std::string response_body = api::to_body(api::whatif_response(outcome));
   cache_store(key, response_body);

@@ -1,14 +1,14 @@
-#include "lint/diagnostic.h"
+#include "util/diagnostic.h"
 
 #include <ostream>
 
 #include "util/strings.h"
 
-namespace keddah::lint {
+namespace keddah::util {
 
 std::string Diagnostic::to_string() const {
   if (!rule.empty()) {
-    return format_diagnostic(file, util::format("line %zu: [%s]", line, rule.c_str()), message,
+    return format_diagnostic(file, format("line %zu: [%s]", line, rule.c_str()), message,
                              hint);
   }
   return format_diagnostic(file, key, message, hint);
@@ -25,4 +25,4 @@ void print_diagnostic_line(std::ostream& os, bool is_error, const std::string& f
   os << (is_error ? "error: " : "warning: ") << formatted << "\n";
 }
 
-}  // namespace keddah::lint
+}  // namespace keddah::util

@@ -1,9 +1,10 @@
-// Shared diagnostic type + formatting for the keddah static tools.
+// One diagnostic type + formatting for every checker and input parser.
 //
-// keddah-lint (JSON artifacts, locus = key path), keddah-detlint and
-// keddah-archlint (C++ sources, locus = "line N: [rule-id]") all report
-// through one Diagnostic struct and one formatter so tool output is uniform
-// and greppable:
+// The spec parsers (scenario, cluster, fault plan, api requests) and
+// keddah-lint report JSON defects with a `key` locus (the JSON key path);
+// keddah-detlint and keddah-archlint report C++ source findings with a
+// "line N: [rule-id]" locus. All render through one formatter so output is
+// uniform and greppable:
 //
 //   <file>: <locus>: <message> (<hint>)
 //
@@ -16,15 +17,15 @@
 #include <iosfwd>
 #include <string>
 
-namespace keddah::lint {
+namespace keddah::util {
 
-/// Diagnostic severity. Errors fail the lint (CLI exit 1); warnings flag
-/// suspicious-but-runnable constructs.
+/// Diagnostic severity. Errors reject the input (lint exit 1, a parser
+/// throws); warnings flag suspicious-but-runnable constructs.
 enum class Severity : std::uint8_t { kWarning = 0, kError = 1 };
 
-/// One finding from any of the three checkers. JSON-artifact checkers set
-/// `key` (the JSON key path); source checkers set `line` + `rule` and leave
-/// `key` empty. to_string() picks the locus accordingly.
+/// One finding. JSON-input checkers set `key` (the JSON key path); source
+/// checkers set `line` + `rule` and leave `key` empty. to_string() picks the
+/// locus accordingly.
 struct Diagnostic {
   Severity severity = Severity::kError;
   /// Source file (or caller-supplied context string).
@@ -53,4 +54,4 @@ std::string format_diagnostic(const std::string& file, const std::string& locus,
 /// Writes "error: <formatted>\n" (or "warning: ...") to `os`.
 void print_diagnostic_line(std::ostream& os, bool is_error, const std::string& formatted);
 
-}  // namespace keddah::lint
+}  // namespace keddah::util

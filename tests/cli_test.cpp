@@ -207,6 +207,18 @@ TEST(Cli, MissingFilesReportedAsErrors) {
   EXPECT_EQ(replay.code, 1);
 }
 
+TEST(Cli, ClusterFlagsAreRangeChecked) {
+  // slowstart > 1 never releases the reducers; the run used to spin forever.
+  const auto result = run_cli({"capture", "--slowstart", "2", "--input", "64MB"});
+  EXPECT_EQ(result.code, 1);
+  EXPECT_NE(result.err.find("command line: cluster.slowstart: slowstart must be in [0, 1]"),
+            std::string::npos)
+      << result.err;
+  const auto replication = run_cli({"capture", "--replication", "0", "--input", "64MB"});
+  EXPECT_EQ(replication.code, 1);
+  EXPECT_NE(replication.err.find("cluster.replication"), std::string::npos) << replication.err;
+}
+
 TEST(Cli, BadTopologyRejected) {
   const auto result = run_cli({"capture", "--topology", "torus"});
   EXPECT_EQ(result.code, 1);

@@ -182,6 +182,22 @@ TEST(DetlintSources, RangeForOverCallWithArguments) {
   EXPECT_EQ(report.diagnostics[0].rule, "unordered-iter");
 }
 
+// Benches time real work by design: the wall-clock rule skips any file with
+// a bench/ or perfbench/ path component, and only those.
+TEST(DetlintSources, WallClockExemptsBenchPaths) {
+  const std::string timer = "auto t = std::chrono::steady_clock::now();\n";
+  const auto report = kl::detlint_sources({{"bench/perf_a.cpp", timer},
+                                           {"repo/perfbench/harness.h", timer},
+                                           {"src/benchmark.cpp", timer},
+                                           {"src/bench_util/x.cpp", timer},
+                                           {"src/sim/clock.cpp", timer}});
+  ASSERT_EQ(report.diagnostics.size(), 3u);
+  EXPECT_EQ(report.diagnostics[0].file, "src/bench_util/x.cpp");
+  EXPECT_EQ(report.diagnostics[1].file, "src/benchmark.cpp");
+  EXPECT_EQ(report.diagnostics[2].file, "src/sim/clock.cpp");
+  EXPECT_EQ(report.diagnostics[0].rule, "wall-clock");
+}
+
 // The contract the CI gate enforces: the shipped sources carry zero
 // unsuppressed determinism hazards.
 TEST(DetlintSources, RepoSourcesScanClean) {

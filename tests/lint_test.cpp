@@ -5,12 +5,20 @@
 // tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "api/specs.h"
+#include "hadoop/faults.h"
+#include "keddah/scenario.h"
 #include "lint/lint.h"
 #include "util/json.h"
+#include "util/json_reader.h"
 
 namespace kl = keddah::lint;
 namespace ku = keddah::util;
@@ -122,6 +130,24 @@ TEST(LintFixtures, BankEntriesGetIndexedKeys) {
   expect_error_at("bank_bad_entry.json", "models[1].classes.shuffle.temporal");
 }
 
+TEST(LintFixtures, NonStringFaultKind) {
+  expect_error_at("scenario_fault_kind_number.json", "faults[0].kind");
+}
+
+TEST(LintFixtures, SlowstartOutsideUnitInterval) {
+  expect_error_at("scenario_slowstart_out_of_range.json", "cluster.slowstart");
+}
+
+TEST(LintFixtures, NegativeInput) {
+  expect_error_at("scenario_negative_input.json", "jobs[0].input");
+}
+
+TEST(LintFixtures, NegativeReducers) {
+  expect_error_at("scenario_negative_reducers.json", "jobs[0].reducers");
+}
+
+TEST(LintFixtures, StringSeed) { expect_error_at("scenario_seed_string.json", "seed"); }
+
 TEST(LintExamples, ShippedScenariosAreClean) {
   for (const char* name : {"clean.json", "crash.json", "outage.json", "degraded_link.json"}) {
     const auto report = kl::lint_file(example_scenario(name));
@@ -180,4 +206,372 @@ TEST(LintFile, MissingFileIsADiagnostic) {
   const auto report = kl::lint_file(fixture("does_not_exist.json"));
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.kind, kl::FileKind::kUnknown);
+}
+
+// ---------------------------------------------------------------------------
+// Golden corpus: keddah-lint's exact output over every fixture, every shipped
+// example, and single-field mutations of two examples. A diagnostic that
+// changes wording, key, severity, or order shows up as a text diff against
+// tests/golden/lint_diagnostics.txt.
+
+namespace {
+
+/// Applies `edit` to element `index` of the array at `key`.
+void edit_element(ku::Json& doc, const std::string& key, std::size_t index,
+                  const std::function<void(ku::Json&)>& edit) {
+  auto array = doc.at(key).as_array();
+  edit(array[index]);
+  doc[key] = ku::Json(std::move(array));
+}
+
+struct Mutation {
+  std::string base;  // example scenario file name
+  std::string label;
+  std::function<void(ku::Json&)> edit;
+};
+
+ku::Json object_of(const char* text) { return ku::Json::parse(text); }
+
+const std::vector<Mutation>& mutations() {
+  static const std::vector<Mutation> kMutations = {
+      {"clean.json", "seed string", [](ku::Json& d) { d["seed"] = ku::Json("7"); }},
+      {"clean.json", "seed negative", [](ku::Json& d) { d["seed"] = ku::Json(-1); }},
+      {"clean.json", "threads negative", [](ku::Json& d) { d["threads"] = ku::Json(-1); }},
+      {"clean.json", "api v9", [](ku::Json& d) { d["api"] = ku::Json("v9"); }},
+      {"clean.json", "api v1", [](ku::Json& d) { d["api"] = ku::Json("v1"); }},
+      {"clean.json", "unknown top-level key", [](ku::Json& d) { d["sed"] = ku::Json(7); }},
+      {"clean.json", "unknown keys at two levels",
+       [](ku::Json& d) {
+         d["zzz"] = ku::Json(1);
+         d["cluster"]["aaa"] = ku::Json(1);
+       }},
+      {"clean.json", "horizon before a submission",
+       [](ku::Json& d) { d["horizon"] = ku::Json(3.0); }},
+      {"clean.json", "cluster not an object", [](ku::Json& d) { d["cluster"] = ku::Json(4); }},
+      {"clean.json", "cluster.topology unknown",
+       [](ku::Json& d) { d["cluster"]["topology"] = ku::Json("ring"); }},
+      {"clean.json", "cluster.topology number",
+       [](ku::Json& d) { d["cluster"]["topology"] = ku::Json(5); }},
+      {"clean.json", "cluster.racks string",
+       [](ku::Json& d) { d["cluster"]["racks"] = ku::Json("two"); }},
+      {"clean.json", "cluster.racks zero",
+       [](ku::Json& d) { d["cluster"]["racks"] = ku::Json(0); }},
+      {"clean.json", "cluster.hosts_per_rack negative",
+       [](ku::Json& d) { d["cluster"]["hosts_per_rack"] = ku::Json(-4); }},
+      {"clean.json", "cluster.fat_tree_k odd on a fat-tree",
+       [](ku::Json& d) {
+         d["cluster"]["topology"] = ku::Json("fattree");
+         d["cluster"]["fat_tree_k"] = ku::Json(3);
+       }},
+      {"clean.json", "cluster.access_gbps zero",
+       [](ku::Json& d) { d["cluster"]["access_gbps"] = ku::Json(0); }},
+      {"clean.json", "cluster.core_gbps null",
+       [](ku::Json& d) { d["cluster"]["core_gbps"] = ku::Json(nullptr); }},
+      {"clean.json", "cluster.block_size negative",
+       [](ku::Json& d) { d["cluster"]["block_size"] = ku::Json(-5); }},
+      {"clean.json", "cluster.block_size zero",
+       [](ku::Json& d) { d["cluster"]["block_size"] = ku::Json(0); }},
+      {"clean.json", "cluster.block_size unparseable",
+       [](ku::Json& d) { d["cluster"]["block_size"] = ku::Json("lots"); }},
+      {"clean.json", "cluster.replication zero",
+       [](ku::Json& d) { d["cluster"]["replication"] = ku::Json(0); }},
+      {"clean.json", "cluster.replication above the cluster size",
+       [](ku::Json& d) { d["cluster"]["replication"] = ku::Json(9); }},
+      {"clean.json", "cluster.containers zero",
+       [](ku::Json& d) { d["cluster"]["containers"] = ku::Json(0); }},
+      {"clean.json", "cluster.slowstart out of range",
+       [](ku::Json& d) { d["cluster"]["slowstart"] = ku::Json(2.0); }},
+      {"clean.json", "cluster.slowstart string",
+       [](ku::Json& d) { d["cluster"]["slowstart"] = ku::Json("half"); }},
+      {"clean.json", "cluster.locality_delay_s negative",
+       [](ku::Json& d) { d["cluster"]["locality_delay_s"] = ku::Json(-1.0); }},
+      {"clean.json", "cluster.compress_ratio zero",
+       [](ku::Json& d) { d["cluster"]["compress_ratio"] = ku::Json(0.0); }},
+      {"clean.json", "cluster.straggler_fraction out of range",
+       [](ku::Json& d) { d["cluster"]["straggler_fraction"] = ku::Json(3.0); }},
+      {"clean.json", "cluster.speculative string",
+       [](ku::Json& d) { d["cluster"]["speculative"] = ku::Json("yes"); }},
+      {"clean.json", "cluster unknown key",
+       [](ku::Json& d) { d["cluster"]["replicaton"] = ku::Json(2); }},
+      {"clean.json", "jobs empty", [](ku::Json& d) { d["jobs"] = ku::Json::array(); }},
+      {"clean.json", "jobs not an array", [](ku::Json& d) { d["jobs"] = ku::Json("sort"); }},
+      {"clean.json", "jobs[0] not an object",
+       [](ku::Json& d) { edit_element(d, "jobs", 0, [](ku::Json& j) { j = ku::Json(3); }); }},
+      {"clean.json", "jobs[0].workload number",
+       [](ku::Json& d) {
+         edit_element(d, "jobs", 0, [](ku::Json& j) { j["workload"] = ku::Json(7); });
+       }},
+      {"clean.json", "jobs[0].input negative",
+       [](ku::Json& d) {
+         edit_element(d, "jobs", 0, [](ku::Json& j) { j["input"] = ku::Json(-5); });
+       }},
+      {"clean.json", "jobs[0].input zero",
+       [](ku::Json& d) {
+         edit_element(d, "jobs", 0, [](ku::Json& j) { j["input"] = ku::Json(0); });
+       }},
+      {"clean.json", "jobs[0].input unparseable",
+       [](ku::Json& d) {
+         edit_element(d, "jobs", 0, [](ku::Json& j) { j["input"] = ku::Json("big"); });
+       }},
+      {"clean.json", "jobs[0].input missing",
+       [](ku::Json& d) {
+         edit_element(d, "jobs", 0, [](ku::Json& j) {
+           ku::Json::Object fields = j.as_object();
+           fields.erase("input");
+           j = ku::Json(std::move(fields));
+         });
+       }},
+      {"clean.json", "jobs[0].reducers negative",
+       [](ku::Json& d) {
+         edit_element(d, "jobs", 0, [](ku::Json& j) { j["reducers"] = ku::Json(-2); });
+       }},
+      {"clean.json", "jobs[0].reducers string",
+       [](ku::Json& d) {
+         edit_element(d, "jobs", 0, [](ku::Json& j) { j["reducers"] = ku::Json("4"); });
+       }},
+      {"clean.json", "jobs[1].submit_at negative",
+       [](ku::Json& d) {
+         edit_element(d, "jobs", 1, [](ku::Json& j) { j["submit_at"] = ku::Json(-1.0); });
+       }},
+      {"clean.json", "jobs[0].iterations zero",
+       [](ku::Json& d) {
+         edit_element(d, "jobs", 0, [](ku::Json& j) { j["iterations"] = ku::Json(0); });
+       }},
+      {"clean.json", "jobs[0] unknown key",
+       [](ku::Json& d) {
+         edit_element(d, "jobs", 0, [](ku::Json& j) { j["inptu"] = ku::Json("1GB"); });
+       }},
+      {"clean.json", "failures[] master crash",
+       [](ku::Json& d) { d["failures"] = object_of(R"([{"worker": 0, "at": 1.0}])"); }},
+      {"clean.json", "failures[] valid crash",
+       [](ku::Json& d) { d["failures"] = object_of(R"([{"worker": 3, "at": 1.0}])"); }},
+      {"clean.json", "failures[] unknown worker",
+       [](ku::Json& d) { d["failures"] = object_of(R"([{"worker": 99, "at": 1.0}])"); }},
+      {"clean.json", "failures[] negative time",
+       [](ku::Json& d) { d["failures"] = object_of(R"([{"worker": 2, "at": -1.0}])"); }},
+      {"clean.json", "failures not an array",
+       [](ku::Json& d) { d["failures"] = ku::Json("x"); }},
+      {"outage.json", "faults[0].kind number",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) { f["kind"] = ku::Json(3); });
+       }},
+      {"outage.json", "faults[0].kind unknown",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) { f["kind"] = ku::Json("meteor"); });
+       }},
+      {"outage.json", "faults[0].worker negative",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) { f["worker"] = ku::Json(-1); });
+       }},
+      {"outage.json", "faults[0].worker fractional",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) { f["worker"] = ku::Json(1.5); });
+       }},
+      {"outage.json", "faults[0].worker string",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) { f["worker"] = ku::Json("5"); });
+       }},
+      {"outage.json", "faults[0].worker out of range",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) { f["worker"] = ku::Json(8); });
+       }},
+      {"outage.json", "faults[0].worker master",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) { f["worker"] = ku::Json(0); });
+       }},
+      {"outage.json", "faults[0].worker missing",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) {
+           ku::Json::Object fields = f.as_object();
+           fields.erase("worker");
+           f = ku::Json(std::move(fields));
+         });
+       }},
+      {"outage.json", "faults[0].at negative",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) { f["at"] = ku::Json(-2.0); });
+       }},
+      {"outage.json", "faults[0].at string",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) { f["at"] = ku::Json("soon"); });
+       }},
+      {"outage.json", "faults[0].duration zero",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) { f["duration"] = ku::Json(0.0); });
+       }},
+      {"outage.json", "faults[0].duration negative",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) { f["duration"] = ku::Json(-3.0); });
+       }},
+      {"outage.json", "faults[0].factor ignored by an outage",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) { f["factor"] = ku::Json(2.0); });
+       }},
+      {"outage.json", "faults[0] unknown key",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) { f["severity"] = ku::Json(1); });
+       }},
+      {"outage.json", "faults[0] not an object",
+       [](ku::Json& d) { edit_element(d, "faults", 0, [](ku::Json& f) { f = ku::Json(5); }); }},
+      {"outage.json", "faults not an array", [](ku::Json& d) { d["faults"] = ku::Json::object(); }},
+      {"outage.json", "faults duplicated entry",
+       [](ku::Json& d) {
+         auto faults = d.at("faults").as_array();
+         faults.push_back(faults.front());
+         d["faults"] = ku::Json(std::move(faults));
+       }},
+      {"outage.json", "faults crash before the outage",
+       [](ku::Json& d) {
+         auto faults = d.at("faults").as_array();
+         faults.insert(faults.begin(), object_of(R"({"kind": "crash", "worker": 5, "at": 1.0})"));
+         d["faults"] = ku::Json(std::move(faults));
+       }},
+      {"outage.json", "faults[0] crash with a duration",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) { f["kind"] = ku::Json("crash"); });
+       }},
+      {"outage.json", "faults[0] degrade_link without a factor",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) { f["kind"] = ku::Json("degrade_link"); });
+       }},
+      {"outage.json", "faults[0] slow_node factor below 1",
+       [](ku::Json& d) {
+         edit_element(d, "faults", 0, [](ku::Json& f) {
+           f["kind"] = ku::Json("slow_node");
+           f["factor"] = ku::Json(0.5);
+         });
+       }},
+      {"outage.json", "horizon cuts the fault window",
+       [](ku::Json& d) { d["horizon"] = ku::Json(10.0); }},
+      {"outage.json", "horizon zero", [](ku::Json& d) { d["horizon"] = ku::Json(0.0); }},
+      {"outage.json", "cluster shrunk below the faulted worker",
+       [](ku::Json& d) { d["cluster"]["racks"] = ku::Json(1); }},
+      {"outage.json", "failures[] crash next to faults",
+       [](ku::Json& d) { d["failures"] = object_of(R"([{"worker": 5, "at": 1.0}])"); }},
+  };
+  return kMutations;
+}
+
+/// keddah-lint's stdout for one report, as tools/keddah_lint.cpp prints it,
+/// plus the exit code the tool would return for it alone.
+std::string tool_output(const kl::LintReport& report, const std::string& file) {
+  std::ostringstream os;
+  kl::print_report(report, os);
+  if (report.diagnostics.empty()) {
+    os << file << ": ok (" << kl::file_kind_name(report.kind) << ")\n";
+  } else {
+    os << report.num_errors() << " error(s), " << report.num_warnings() << " warning(s)\n";
+  }
+  os << "exit " << (report.ok() ? 0 : 1) << "\n";
+  return os.str();
+}
+
+std::string replace_all(std::string text, const std::string& from, const std::string& to) {
+  for (std::size_t at = text.find(from); at != std::string::npos; at = text.find(from, at)) {
+    text.replace(at, from.size(), to);
+    at += to.size();
+  }
+  return text;
+}
+
+/// The whole golden text: fixtures, examples, then mutations.
+std::string golden_corpus_output() {
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(KEDDAH_LINT_FIXTURES)) {
+    files.push_back(entry.path().string());
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(KEDDAH_EXAMPLE_SCENARIOS)) {
+    files.push_back(entry.path().string());
+  }
+  std::sort(files.begin(), files.end());
+  std::string text;
+  for (const auto& path : files) {
+    text += "== " + path + "\n" + tool_output(kl::lint_file(path), path);
+  }
+  for (const auto& m : mutations()) {
+    auto doc = ku::Json::load_file(example_scenario(m.base));
+    m.edit(doc);
+    const std::string label = m.base + " [" + m.label + "]";
+    text += "== " + label + "\n" + tool_output(kl::lint_document(doc, label), label);
+  }
+  text = replace_all(text, KEDDAH_LINT_FIXTURES, "tests/fixtures/lint");
+  return replace_all(text, KEDDAH_EXAMPLE_SCENARIOS, "examples/scenarios");
+}
+
+}  // namespace
+
+TEST(LintGolden, OutputMatchesCommittedText) {
+  const std::string golden_path = std::string(KEDDAH_GOLDEN_DIR) + "/lint_diagnostics.txt";
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in) << "missing " << golden_path;
+  std::stringstream golden;
+  golden << in.rdbuf();
+  const std::string actual = golden_corpus_output();
+  if (actual != golden.str()) {
+    const std::string dump = ::testing::TempDir() + "/lint_diagnostics.actual.txt";
+    std::ofstream(dump) << actual;
+    FAIL() << "keddah-lint output differs from " << golden_path << "; actual text written to "
+           << dump;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lint and the runtime parsers agree: over every fixture, example and
+// corpus mutation, lint reports an error exactly when the parser throws,
+// and the parser's exception is lint's first error.
+
+namespace {
+
+/// Throws what the runtime parser for `kind` throws on `doc`, if anything.
+void run_parser(kl::FileKind kind, const ku::Json& doc, const std::string& file) {
+  if (kind == kl::FileKind::kScenario) {
+    (void)keddah::core::parse_scenario(doc, file);
+    (void)keddah::api::parse_whatif_request(doc, file);
+  } else {
+    (void)keddah::hadoop::parse_fault_plan(doc, file, 0);
+  }
+}
+
+void expect_agreement(const ku::Json& doc, const std::string& file) {
+  const auto report = kl::lint_document(doc, file);
+  if (report.kind != kl::FileKind::kScenario && report.kind != kl::FileKind::kFaultPlan) return;
+  const auto first_error =
+      std::find_if(report.diagnostics.begin(), report.diagnostics.end(),
+                   [](const kl::Diagnostic& d) { return d.severity == kl::Severity::kError; });
+  try {
+    run_parser(report.kind, doc, file);
+    EXPECT_TRUE(report.ok()) << file << ": lint rejects what the parser accepts: "
+                             << first_error->to_string();
+  } catch (const ku::SpecError& e) {
+    ASSERT_FALSE(report.ok()) << file << ": the parser rejects what lint accepts: " << e.what();
+    EXPECT_EQ(e.key(), first_error->key) << file;
+    EXPECT_EQ(std::string(e.what()), first_error->to_string()) << file;
+  }
+}
+
+}  // namespace
+
+TEST(LintParseAgreement, FixturesAndExamples) {
+  for (const char* dir : {KEDDAH_LINT_FIXTURES, KEDDAH_EXAMPLE_SCENARIOS}) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const std::string path = entry.path().string();
+      ku::Json doc;
+      try {
+        doc = ku::Json::load_file(path);
+      } catch (const std::runtime_error&) {
+        // A syntax error: lint reports it at "$", the loaders throw it.
+        EXPECT_FALSE(kl::lint_file(path).ok()) << path;
+        continue;
+      }
+      expect_agreement(doc, path);
+    }
+  }
+}
+
+TEST(LintParseAgreement, CorpusMutations) {
+  for (const auto& m : mutations()) {
+    auto doc = ku::Json::load_file(example_scenario(m.base));
+    m.edit(doc);
+    expect_agreement(doc, m.base + " [" + m.label + "]");
+  }
 }

@@ -7,6 +7,7 @@
 
 #include "cli/cli.h"
 #include "keddah/scenario.h"
+#include "util/json_reader.h"
 
 namespace kc = keddah::core;
 namespace kh = keddah::hadoop;
@@ -174,50 +175,50 @@ void expect_fault_rejection(const std::string& faults_json, const std::string& n
 
 TEST(ScenarioParse, FaultRejectsUnknownKind) {
   expect_fault_rejection(R"([{ "kind": "meteor", "worker": 1, "at": 0.0 }])",
-                         "unknown kind 'meteor'");
+                         "faults[0].kind: unknown fault kind 'meteor'");
 }
 
 TEST(ScenarioParse, FaultRejectsMasterWorker) {
   expect_fault_rejection(R"([{ "kind": "crash", "worker": 0, "at": 0.0 }])",
-                         "worker 0 hosts the master");
+                         "faults[0].worker: worker 0 co-hosts the master");
 }
 
 TEST(ScenarioParse, FaultRejectsOutOfRangeWorker) {
   // 2 racks x 4 hosts = 8 workers; index 8 is one past the end.
   expect_fault_rejection(R"([{ "kind": "crash", "worker": 8, "at": 0.0 }])",
-                         "out of range (cluster has 8 workers)");
+                         "faults[0].worker: worker 8 does not exist (cluster has workers 0..7)");
 }
 
 TEST(ScenarioParse, FaultRejectsNegativeTime) {
   expect_fault_rejection(R"([{ "kind": "crash", "worker": 1, "at": -2.0 }])",
-                         ".at must be a finite time >= 0");
+                         "faults[0].at: injection time must be >= 0");
 }
 
 TEST(ScenarioParse, FaultRejectsNonNumericTime) {
   expect_fault_rejection(R"([{ "kind": "crash", "worker": 1, "at": "soon" }])",
-                         ".at must be a number");
+                         "faults[0].at: must be a finite number");
 }
 
 TEST(ScenarioParse, FaultRejectsZeroOutageDuration) {
   expect_fault_rejection(R"([{ "kind": "outage", "worker": 1, "at": 0.0 }])",
-                         ".duration must be > 0");
+                         "faults[0].duration: transient faults need a window length > 0");
 }
 
 TEST(ScenarioParse, FaultRejectsBadDegradeFactor) {
   expect_fault_rejection(
       R"([{ "kind": "degrade_link", "worker": 1, "at": 0.0, "duration": 5.0, "factor": 1.5 }])",
-      ".factor must be in (0, 1)");
+      "faults[0].factor: degrade_link factor must be in (0, 1)");
 }
 
 TEST(ScenarioParse, FaultRejectsBadSlowFactor) {
   expect_fault_rejection(
       R"([{ "kind": "slow_node", "worker": 1, "at": 0.0, "duration": 5.0, "factor": 0.5 }])",
-      ".factor must be > 1");
+      "faults[0].factor: slow_node factor must be > 1");
 }
 
 TEST(ScenarioParse, FaultRejectsMissingWorker) {
   expect_fault_rejection(R"([{ "kind": "crash", "at": 1.0 }])",
-                         "missing required key 'worker'");
+                         "faults[0].worker: missing required key");
 }
 
 TEST(ScenarioParse, FaultErrorNamesContextAndIndex) {
@@ -243,6 +244,51 @@ TEST(ScenarioParse, FaultErrorFromFileNamesFile) {
     EXPECT_NE(std::string(e.what()).find(file), std::string::npos) << e.what();
   }
   std::filesystem::remove(file);
+}
+
+// Each of these documents used to be accepted (or to crash the process)
+// although keddah-lint rejected it; the parser now rejects it with lint's
+// key path.
+void expect_key_path_error(const std::string& json, const std::string& key) {
+  try {
+    kc::parse_scenario(parse(json), "doc.json");
+    FAIL() << "expected rejection at " << key << " of " << json;
+  } catch (const ku::SpecError& e) {
+    EXPECT_EQ(e.file(), "doc.json");
+    EXPECT_EQ(e.key(), key) << e.what();
+    EXPECT_EQ(std::string(e.what()).find("doc.json: " + key + ": "), 0u) << e.what();
+  }
+}
+
+TEST(ScenarioParse, RejectsNonStringFaultKind) {
+  expect_key_path_error(fault_scenario(R"([{ "kind": 3, "worker": 1, "at": 0.0 }])"),
+                        "faults[0].kind");
+}
+
+TEST(ScenarioParse, RejectsSlowstartOutsideUnitInterval) {
+  expect_key_path_error(
+      R"({"cluster": {"slowstart": 2}, "jobs": [{"workload": "sort", "input": "1GB"}]})",
+      "cluster.slowstart");
+}
+
+TEST(ScenarioParse, RejectsNegativeInput) {
+  expect_key_path_error(R"({"jobs": [{"workload": "sort", "input": -5}]})", "jobs[0].input");
+}
+
+TEST(ScenarioParse, RejectsNegativeReducers) {
+  expect_key_path_error(R"({"jobs": [{"workload": "sort", "input": "1GB", "reducers": -2}]})",
+                        "jobs[0].reducers");
+}
+
+TEST(ScenarioParse, RejectsStringSeed) {
+  expect_key_path_error(R"({"seed": "7", "jobs": [{"workload": "sort", "input": "1GB"}]})",
+                        "seed");
+}
+
+TEST(ScenarioParse, LegacyFailuresReportUnderTheirOwnKey) {
+  expect_key_path_error(R"({"jobs": [{"workload": "sort", "input": "1GB"}],
+                            "failures": [{"worker": 0, "at": 1.0}]})",
+                        "failures[0].worker");
 }
 
 TEST(ScenarioRun, FaultStatsSurfaceInOutcome) {

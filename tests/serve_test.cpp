@@ -161,6 +161,17 @@ TEST(Serve, UnsupportedApiVersionGets400) {
   EXPECT_NE(response.body.find("unsupported API version"), std::string::npos) << response.body;
 }
 
+TEST(Serve, NonStringFaultKindGets400NotInternalError) {
+  auto doc = ku::Json::parse(kSmallScenario);
+  doc["faults"] = ku::Json::parse(R"([{"kind": 3, "worker": 1, "at": 1.0}])");
+  ks::Server server(ks::ServeOptions{});
+  const auto response = server.handle(post("/v1/whatif", doc.dump(2)));
+  EXPECT_EQ(response.status, 400) << response.body;
+  const auto body = ku::Json::parse(response.body);
+  EXPECT_EQ(body.at("error").at("code").as_string(), "lint_rejected") << response.body;
+  EXPECT_NE(response.body.find("faults[0].kind"), std::string::npos) << response.body;
+}
+
 TEST(Serve, UnknownEndpointGets404) {
   ks::Server server(ks::ServeOptions{});
   EXPECT_EQ(server.handle(post("/v1/nope", "{}")).status, 404);

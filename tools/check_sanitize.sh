@@ -41,7 +41,7 @@ cmake --build "${BUILD}" \
                net_differential_test golden_trace_test net_property_test \
                gen_test toolchain_test mix_test \
                spill_test capture_test api_test serve_test serve_chaos_test detlint_test \
-               archlint_test keddah \
+               archlint_test lint_test keddah \
                perf_scheduler perf_serve perf_scale perf_overload -j"$(nproc)"
 
 # The parallel subsystem, the network layer it drives concurrently, and the
@@ -61,9 +61,11 @@ cmake --build "${BUILD}" \
 # records and id-keyed name table by offsets read from the file.
 # Detlint|Archlint|LintSource drive the shared source cleaner, which walks
 # every file by index with look-ahead and look-behind, over the repo and
-# the seeded fixtures.
+# the seeded fixtures. Lint|ScenarioParse|Serve drive the spec parsers'
+# JSON readers over every fixture, example and corpus mutation, with
+# their unknown-key warnings spliced into the diagnostics list.
 ctest --test-dir "${BUILD}" --output-on-failure \
-      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Topology|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|Trace|Collector|Classifier|ArenaChurn|Replay|ClosedLoopReplay|Detlint|Archlint|LintSource'
+      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Topology|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|Trace|Collector|Classifier|ArenaChurn|Replay|ClosedLoopReplay|Detlint|Archlint|Lint'
 
 # A quick pass of the scheduler benchmark under the sanitizer: exercises
 # the incremental and reference schedulers back to back on all the

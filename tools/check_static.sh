@@ -7,8 +7,9 @@
 #   2. keddah-lint over the shipped example scenarios (must pass) and over
 #      the seeded-defect fixtures in tests/fixtures/lint (every one must
 #      FAIL — a fixture that lints clean means a diagnostic regressed).
-#   3. keddah-detlint over src/ (zero unsuppressed determinism hazards)
-#      and over the seeded-hazard fixtures in tests/fixtures/detlint
+#   3. keddah-detlint over src/, bench/, perfbench/, tools/ and tests/
+#      outside tests/fixtures/detlint (zero unsuppressed determinism
+#      hazards) and over the seeded-hazard fixtures in tests/fixtures/detlint
 #      (every one must fail with exactly the rule its `// expect:` header
 #      names; the `expect: clean` fixture must pass).
 #   4. keddah-archlint over src/ in --strict-modules mode (the module graph
@@ -60,8 +61,11 @@ echo "all $(ls "${ROOT}"/tests/fixtures/lint/*.json | wc -l) fixtures flagged"
 
 DETLINT="${BUILD}/tools/keddah-detlint"
 
-echo "== stage 3a: keddah-detlint on src/ (zero unsuppressed hazards) =="
-"${DETLINT}" "${ROOT}/src"
+echo "== stage 3a: keddah-detlint on src/ bench/ perfbench/ tools/ tests/ (zero hazards) =="
+# tests/fixtures/detlint seeds hazards on purpose; stage 3b checks it.
+mapfile -t test_sources < <(find "${ROOT}/tests" -path "${ROOT}/tests/fixtures/detlint" -prune \
+                              -o \( -name '*.cpp' -o -name '*.h' \) -print | sort)
+"${DETLINT}" "${ROOT}/src" "${ROOT}/bench" "${ROOT}/perfbench" "${ROOT}/tools" "${test_sources[@]}"
 
 echo "== stage 3b: keddah-detlint on seeded-hazard fixtures =="
 for fixture in "${ROOT}"/tests/fixtures/detlint/*.cpp; do

@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "lint/archlint.h"
-#include "lint/diagnostic.h"
+#include "util/diagnostic.h"
 
 namespace kl = keddah::lint;
 
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
     std::cout << report.to_json().dump(2) << "\n";
   } else {
     for (const auto& d : report.diagnostics) {
-      kl::print_diagnostic_line(std::cout, /*is_error=*/true, d.to_string());
+      keddah::util::print_diagnostic_line(std::cout, /*is_error=*/true, d.to_string());
     }
   }
   std::cerr << report.files_scanned << " file(s) scanned, " << report.diagnostics.size()

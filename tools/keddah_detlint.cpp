@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "lint/detlint.h"
-#include "lint/diagnostic.h"
+#include "util/diagnostic.h"
 
 namespace kl = keddah::lint;
 
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   for (const auto& d : report.diagnostics) {
-    kl::print_diagnostic_line(std::cout, /*is_error=*/true, d.to_string());
+    keddah::util::print_diagnostic_line(std::cout, /*is_error=*/true, d.to_string());
   }
   std::cout << report.files_scanned << " file(s) scanned, " << report.diagnostics.size()
             << " finding(s), " << report.suppressions_used << " suppression(s)\n";
