@@ -15,7 +15,7 @@ auto parse_object(const util::Json& doc, const std::string& file, const std::str
                   Read read) {
   util::Diagnostics diagnostics(file);
   util::JsonReader reader(doc, key, diagnostics);
-  if (!reader.is_object()) diagnostics.error(key.empty() ? "$" : key, "must be a JSON object");
+  reader.expect_object("must be a JSON object");
   diagnostics.throw_first_error();
   auto result = read(reader);
   diagnostics.throw_first_error();

@@ -42,8 +42,7 @@ ClusterConfig parse_cluster_config(const util::Json& cluster, util::Diagnostics&
                                    const std::string& key) {
   ClusterConfig cfg = default_scenario_cluster();
   util::JsonReader r(cluster, key, diagnostics);
-  if (!r.is_object()) {
-    diagnostics.error(key, "must be an object");
+  if (!r.expect_object("must be an object")) {
     cfg.racks = 0;  // unsized
     return cfg;
   }
@@ -76,10 +75,8 @@ ClusterConfig parse_cluster_config(const util::Json& cluster, util::Diagnostics&
 
 ClusterConfig parse_cluster_config(const util::Json& cluster, const std::string& context,
                                    const std::string& key) {
-  util::Diagnostics diagnostics(context);
-  ClusterConfig cfg = parse_cluster_config(cluster, diagnostics, key);
-  diagnostics.throw_first_error();
-  return cfg;
+  return util::parse_or_throw(
+      context, [&](util::Diagnostics& d) { return parse_cluster_config(cluster, d, key); });
 }
 
 void check_cluster_config(const ClusterConfig& cfg, util::Diagnostics& diagnostics,

@@ -101,10 +101,7 @@ FaultPlan parse_fault_plan(const util::Json& array, util::Diagnostics& diagnosti
     const std::string prefix = util::format("%s[%zu]", key.c_str(), i);
     util::JsonReader r(array.at(i), prefix, diagnostics);
     targets.emplace_back(std::nan(""), 0.0);
-    if (!r.is_object()) {
-      diagnostics.error(prefix, "must be an object");
-      continue;
-    }
+    if (!r.expect_object("must be an object")) continue;
     FaultEvent event;
     const std::size_t errors = diagnostics.num_errors();
     event.kind = static_cast<FaultKind>(r.name("kind", kinds, 0, "fault kind"));
@@ -164,10 +161,8 @@ FaultPlan parse_fault_plan(const util::Json& array, util::Diagnostics& diagnosti
 
 FaultPlan parse_fault_plan(const util::Json& array, const std::string& context,
                            std::size_t num_workers) {
-  util::Diagnostics diagnostics(context);
-  FaultPlan plan = parse_fault_plan(array, diagnostics, "$", num_workers);
-  diagnostics.throw_first_error();
-  return plan;
+  return util::parse_or_throw(
+      context, [&](util::Diagnostics& d) { return parse_fault_plan(array, d, "$", num_workers); });
 }
 
 void audit_fault_stats(const FaultStats& stats) {

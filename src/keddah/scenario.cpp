@@ -24,10 +24,7 @@ ScenarioSpec::JobEntry parse_job(const util::Json& doc, const std::string& key, 
                                  util::Diagnostics& diagnostics) {
   ScenarioSpec::JobEntry job;
   util::JsonReader r(doc, key, diagnostics);
-  if (!r.is_object()) {
-    diagnostics.error(key, "must be an object");
-    return job;
-  }
+  if (!r.expect_object("must be an object")) return job;
   const util::Json* workload = r.find("workload");
   if (workload == nullptr || !workload->is_string()) {
     r.error("workload", "missing workload name", "one of the names in workloads::all_workloads()");
@@ -57,10 +54,7 @@ ScenarioSpec::JobEntry parse_job(const util::Json& doc, const std::string& key, 
 ScenarioSpec parse_scenario(const util::Json& doc, util::Diagnostics& diagnostics) {
   ScenarioSpec spec;
   util::JsonReader r(doc, "", diagnostics);
-  if (!r.is_object()) {
-    diagnostics.error("$", "a scenario must be a JSON object");
-    return spec;
-  }
+  if (!r.expect_object("a scenario must be a JSON object")) return spec;
   read_spec_version(r);
   spec.seed = r.count("seed", 1, 0.0, "must be >= 0");
   spec.threads = r.count("threads", 0, 0.0, "must be >= 0 (0 = serial)");
@@ -95,10 +89,8 @@ ScenarioSpec parse_scenario(const util::Json& doc, util::Diagnostics& diagnostic
 }
 
 ScenarioSpec parse_scenario(const util::Json& doc, const std::string& context) {
-  util::Diagnostics diagnostics(context);
-  ScenarioSpec spec = parse_scenario(doc, diagnostics);
-  diagnostics.throw_first_error();
-  return spec;
+  return util::parse_or_throw(context,
+                              [&](util::Diagnostics& d) { return parse_scenario(doc, d); });
 }
 
 ScenarioSpec load_scenario(const std::string& path) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "util/json_reader.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -124,12 +125,24 @@ void save_run(const model::TrainingRun& run, const std::string& basename) {
 model::TrainingRun load_run(const std::string& basename) {
   model::TrainingRun run;
   run.trace = capture::Trace::load(basename + ".csv");
-  const auto meta = util::Json::load_file(basename + ".meta.json");
-  run.input_bytes = meta.at("input_bytes").as_number();
-  run.num_maps = static_cast<std::size_t>(meta.at("num_maps").as_number());
-  run.num_reducers = static_cast<std::size_t>(meta.at("num_reducers").as_number());
-  run.job_start = meta.at("job_start").as_number();
-  run.job_end = meta.at("job_end").as_number();
+  const std::string meta_path = basename + ".meta.json";
+  const auto meta = util::Json::load_file(meta_path);
+  util::Diagnostics diagnostics(meta_path);
+  util::JsonReader r(meta, "", diagnostics);
+  r.expect_object("run metadata must be a JSON object");
+  auto amount = [&](const char* field) {
+    r.require(field);
+    const double value = r.number(field, 0.0);
+    if (value < 0.0) r.error(field, "must be >= 0");
+    return value;
+  };
+  run.input_bytes = amount("input_bytes");
+  run.num_maps = r.require("num_maps") ? r.count("num_maps", 0, 0.0, "must be >= 0") : 0;
+  run.num_reducers =
+      r.require("num_reducers") ? r.count("num_reducers", 0, 0.0, "must be >= 0") : 0;
+  run.job_start = amount("job_start");
+  run.job_end = amount("job_end");
+  diagnostics.throw_first_error();
   return run;
 }
 

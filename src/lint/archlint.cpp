@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "util/json_reader.h"
+#include "util/log.h"
 #include "util/strings.h"
 
 namespace keddah::lint {
@@ -441,18 +443,37 @@ LayerSpec default_layer_spec() {
   return spec;
 }
 
-LayerSpec layer_spec_from_json(const util::Json& doc) {
+LayerSpec layer_spec_from_json(const util::Json& doc, util::Diagnostics& diagnostics) {
   LayerSpec spec;
-  if (!doc.is_object() || !doc.contains("layers")) {
-    throw std::runtime_error("layer spec: expected an object with a \"layers\" array");
+  util::JsonReader r(doc, "", diagnostics);
+  const util::Json* layers = r.find("layers");
+  const bool ranked = layers != nullptr && layers->is_array();
+  if (!ranked) {
+    diagnostics.error("layers", "expected an object with a \"layers\" array",
+                      "e.g. {\"layers\": [[\"util\"], [\"sim\", \"stats\"]]}");
   }
-  for (const auto& rank : doc.at("layers").as_array()) {
+  for (std::size_t i = 0; ranked && i < layers->size(); ++i) {
+    const util::Json& rank = layers->at(i);
     std::vector<std::string> names;
-    for (const auto& name : rank.as_array()) names.push_back(name.as_string());
+    for (std::size_t j = 0; rank.is_array() && j < rank.size(); ++j) {
+      if (rank.at(j).is_string()) names.push_back(rank.at(j).as_string());
+    }
+    if (!rank.is_array() || names.size() != rank.size()) {
+      diagnostics.error(util::format("layers[%zu]", i), "must be an array of module names");
+    }
     spec.layers.push_back(std::move(names));
   }
-  spec.max_fanin = static_cast<std::size_t>(doc.get_number("max_fanin", 0));
-  if (doc.contains("strict_modules")) spec.strict_modules = doc.at("strict_modules").as_bool();
+  spec.max_fanin = r.count("max_fanin", 0, 0.0, "must be >= 0 (0 disables fanin-budget)");
+  spec.strict_modules = r.boolean("strict_modules", false);
+  return spec;
+}
+
+LayerSpec load_layer_spec(const std::string& path) {
+  const util::Json doc = util::Json::load_file(path);
+  util::Diagnostics diagnostics(path);
+  LayerSpec spec = layer_spec_from_json(doc, diagnostics);
+  diagnostics.throw_first_error();
+  for (const auto& d : diagnostics.all()) KLOG_WARN << d.to_string();
   return spec;
 }
 
@@ -818,7 +839,7 @@ ArchlintReport archlint_paths(const std::vector<std::string>& paths, const Layer
   for (const auto& path : paths) {
     const fs::path table = fs::path(path) / "layers.json";
     if (spec == nullptr && fs::is_directory(path) && fs::exists(table)) {
-      resolved = layer_spec_from_json(util::Json::load_file(table));
+      resolved = load_layer_spec(table.string());
     }
   }
   return archlint_sources(load_sources(paths), resolved);

@@ -54,6 +54,7 @@
 
 #include "lint/source.h"
 #include "util/json.h"
+#include "util/json_reader.h"
 
 namespace keddah::lint {
 
@@ -75,9 +76,14 @@ struct LayerSpec {
 /// The repo's committed layer table (see DESIGN.md "Layer DAG").
 LayerSpec default_layer_spec();
 
-/// Parses {"layers": [["util"], ["core","sim"], ...], "max_fanin": N,
-/// "strict_modules": bool}. Throws std::runtime_error on bad shape.
-LayerSpec layer_spec_from_json(const util::Json& doc);
+/// Reads {"layers": [["util"], ["core","sim"], ...], "max_fanin": N,
+/// "strict_modules": bool}, recording every defect under its key path in
+/// `diagnostics` (unknown keys are warnings).
+LayerSpec layer_spec_from_json(const util::Json& doc, util::Diagnostics& diagnostics);
+
+/// Loads a layer table file: defects throw the first error as a
+/// util::SpecError naming `path`; warnings are logged.
+LayerSpec load_layer_spec(const std::string& path);
 
 /// One allocation hazard inside a hot region (suppressed ones included —
 /// the JSON inventory reports them with their justification).

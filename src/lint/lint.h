@@ -4,13 +4,13 @@
 // path, what is wrong, and how to fix it, so a scenario author can repair a
 // file in one pass without running anything.
 //
-// Scenarios and fault plans are linted by their runtime parsers
-// (core::parse_scenario, hadoop::parse_fault_plan) in collecting mode: lint
-// rejects exactly what `keddah run-scenario` and `keddah serve` reject.
-// Fitted models and model banks are checked here (DESIGN.md §"Static
-// checks"): ECDFs must be non-decreasing, distribution parameters finite
-// and within their family's domain, and training replication within the
-// training cluster.
+// Every kind is linted by its runtime loader in collecting mode:
+// scenarios by core::parse_scenario, fault plans by hadoop::parse_fault_plan,
+// models by model::KeddahModel::from_json and banks by
+// model::ModelBank::from_json. Lint rejects exactly what `keddah
+// run-scenario`, `generate` and `serve` reject, with the same words; the
+// rules live next to the data they guard (DESIGN.md §"Static checks").
+// This file only sniffs the document kind, loads files and prints.
 #pragma once
 
 #include <iosfwd>

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/json_reader.h"
+#include "util/strings.h"
+
 namespace keddah::model {
 
 namespace {
@@ -23,10 +26,33 @@ util::Json ecdf_to_json(const stats::Ecdf& ecdf, std::size_t cap = 512) {
   return arr;
 }
 
-stats::Ecdf ecdf_from_json(const util::Json& arr) {
+/// Reads the ECDF in `field`, serialized as its sorted sample values: every
+/// entry finite and the sequence non-decreasing (quantile lookups
+/// binary-search it, so unsorted input is a defect, not something to sort).
+stats::Ecdf ecdf_from_json(util::JsonReader& r, const std::string& field) {
+  const util::Json* arr = r.find(field);
+  if (arr == nullptr) return {};
+  if (!arr->is_array()) {
+    r.error(field, "must be an array of sorted sample values");
+    return {};
+  }
   std::vector<double> values;
-  values.reserve(arr.size());
-  for (const auto& v : arr.as_array()) values.push_back(v.as_number());
+  for (const auto& v : arr->as_array()) {
+    const std::string key = util::format("%s[%zu]", r.key(field).c_str(), values.size());
+    if (!v.is_number() || !std::isfinite(v.as_number())) {
+      r.diagnostics().error(key,
+                            "ECDF sample must be a finite number (NaN/inf serializes as null)");
+      return {};
+    }
+    if (!values.empty() && v.as_number() < values.back()) {
+      r.diagnostics().error(
+          key, util::format("ECDF is not non-decreasing: %g after %g", v.as_number(),
+                            values.back()),
+          "re-sort the samples; quantile lookups binary-search this array");
+      return {};
+    }
+    values.push_back(v.as_number());
+  }
   return stats::Ecdf(values);
 }
 
@@ -63,16 +89,27 @@ util::Json SizeModel::to_json() const {
   return doc;
 }
 
-SizeModel SizeModel::from_json(const util::Json& doc) {
+SizeModel SizeModel::from_json(const util::Json& doc, util::Diagnostics& diagnostics,
+                               const std::string& path) {
   SizeModel m;
-  if (doc.contains("parametric")) {
-    m.parametric = stats::Distribution::from_json(doc.at("parametric"));
+  util::JsonReader r(doc, path, diagnostics);
+  if (!r.expect_object("must be an object")) return m;
+  if (const util::Json* parametric = r.find("parametric")) {
+    m.parametric = stats::Distribution::from_json(*parametric, diagnostics, r.key("parametric"));
   }
-  m.ks = doc.get_number("ks", 1.0);
-  m.ks_pvalue = doc.get_number("ks_pvalue", 0.0);
-  m.kind = doc.get_string("kind", "parametric") == "empirical" ? SizeModelKind::kEmpirical
-                                                               : SizeModelKind::kParametric;
-  if (doc.contains("empirical")) m.empirical = ecdf_from_json(doc.at("empirical"));
+  m.ks = r.number("ks", 1.0);
+  if (m.ks < 0.0 || m.ks > 1.0) r.error("ks", "a KS distance lies in [0, 1]");
+  m.ks_pvalue = r.number("ks_pvalue", 0.0);
+  if (m.ks_pvalue < 0.0 || m.ks_pvalue > 1.0) r.error("ks_pvalue", "a p-value lies in [0, 1]");
+  m.kind = static_cast<SizeModelKind>(
+      r.name("kind", {"parametric", "empirical"}, 0, "size-model kind"));
+  const util::Json* samples = r.find("empirical");
+  m.empirical = ecdf_from_json(r, "empirical");
+  // A parametric kind without a distribution samples the ECDF instead (an
+  // untrained class writes neither); an empirical kind needs samples.
+  if (m.kind == SizeModelKind::kEmpirical && (samples == nullptr || samples->size() == 0)) {
+    r.error("empirical", "kind is \"empirical\" but the sample array is empty");
+  }
   return m;
 }
 
@@ -88,10 +125,15 @@ util::Json CountModel::to_json() const {
   return doc;
 }
 
-CountModel CountModel::from_json(const util::Json& doc) {
+CountModel CountModel::from_json(const util::Json& doc, util::Diagnostics& diagnostics,
+                                 const std::string& path) {
   CountModel m;
-  m.fit = stats::LinearFit::from_json(doc.at("fit"));
-  m.regressor = doc.get_string("regressor", "x");
+  util::JsonReader r(doc, path, diagnostics);
+  if (!r.expect_object("must be an object {fit, regressor}")) return m;
+  if (const util::Json* fit = r.require("fit")) {
+    m.fit = stats::LinearFit::from_json(*fit, diagnostics, r.key("fit"));
+  }
+  m.regressor = r.string("regressor", "x");
   return m;
 }
 
@@ -110,11 +152,23 @@ util::Json TemporalModel::to_json() const {
   return doc;
 }
 
-TemporalModel TemporalModel::from_json(const util::Json& doc) {
+TemporalModel TemporalModel::from_json(const util::Json& doc, util::Diagnostics& diagnostics,
+                                       const std::string& path) {
   TemporalModel m;
-  if (doc.contains("offsets")) m.normalized_offsets = ecdf_from_json(doc.at("offsets"));
-  m.phase_start_frac = doc.get_number("phase_start_frac", 0.0);
-  m.phase_end_frac = doc.get_number("phase_end_frac", 1.0);
+  util::JsonReader r(doc, path, diagnostics);
+  if (!r.expect_object("must be an object")) return m;
+  m.normalized_offsets = ecdf_from_json(r, "offsets");
+  auto fraction = [&](const char* field, double fallback) {
+    const double value = r.number(field, fallback);
+    if (value < 0.0 || value > 1.0) r.error(field, "phase fraction must be in [0, 1]");
+    return value;
+  };
+  m.phase_start_frac = fraction("phase_start_frac", 0.0);
+  m.phase_end_frac = fraction("phase_end_frac", 1.0);
+  if (m.phase_start_frac > m.phase_end_frac) {
+    r.error("phase_start_frac", "phase starts after it ends",
+            "swap phase_start_frac and phase_end_frac");
+  }
   return m;
 }
 
@@ -128,13 +182,23 @@ util::Json ClassModel::to_json() const {
   return doc;
 }
 
-ClassModel ClassModel::from_json(const util::Json& doc) {
+ClassModel ClassModel::from_json(const util::Json& doc, util::Diagnostics& diagnostics,
+                                 const std::string& path) {
   ClassModel m;
-  m.size = SizeModel::from_json(doc.at("size"));
-  m.count = CountModel::from_json(doc.at("count"));
-  m.temporal = TemporalModel::from_json(doc.at("temporal"));
-  m.training_flows = static_cast<std::size_t>(doc.get_number("training_flows", 0.0));
-  m.training_bytes = doc.get_number("training_bytes", 0.0);
+  util::JsonReader r(doc, path, diagnostics);
+  if (!r.expect_object("must be an object {size, count, temporal, ...}")) return m;
+  if (const util::Json* size = r.require("size")) {
+    m.size = SizeModel::from_json(*size, diagnostics, r.key("size"));
+  }
+  if (const util::Json* count = r.require("count")) {
+    m.count = CountModel::from_json(*count, diagnostics, r.key("count"));
+  }
+  if (const util::Json* temporal = r.require("temporal")) {
+    m.temporal = TemporalModel::from_json(*temporal, diagnostics, r.key("temporal"));
+  }
+  m.training_flows = r.count("training_flows", 0, 0.0, "must be >= 0");
+  m.training_bytes = r.number("training_bytes", 0.0);
+  if (m.training_bytes < 0.0) r.error("training_bytes", "must be >= 0");
   return m;
 }
 

@@ -41,7 +41,14 @@ struct SizeModel {
   bool trained() const { return !empirical.empty(); }
 
   util::Json to_json() const;
-  static SizeModel from_json(const util::Json& doc);
+  /// Reads a size model at key path `path`, recording every defect in
+  /// `diagnostics`.
+  static SizeModel from_json(const util::Json& doc, util::Diagnostics& diagnostics,
+                             const std::string& path = "");
+  /// As above, throwing the first defect as a util::SpecError.
+  static SizeModel from_json(const util::Json& doc, const std::string& file = "json") {
+    return util::parse_or_throw(file, [&](util::Diagnostics& d) { return from_json(doc, d); });
+  }
 };
 
 /// Flow-count model: a structural law calibrated by regression.
@@ -61,7 +68,13 @@ struct CountModel {
   std::size_t predict(double x) const;
 
   util::Json to_json() const;
-  static CountModel from_json(const util::Json& doc);
+  /// Reads {fit, regressor} at key path `path`; `fit` is required.
+  static CountModel from_json(const util::Json& doc, util::Diagnostics& diagnostics,
+                              const std::string& path = "");
+  /// As above, throwing the first defect as a util::SpecError.
+  static CountModel from_json(const util::Json& doc, const std::string& file = "json") {
+    return util::parse_or_throw(file, [&](util::Diagnostics& d) { return from_json(doc, d); });
+  }
 };
 
 /// Flow arrival model. Each traffic class is active during a phase of the
@@ -82,7 +95,14 @@ struct TemporalModel {
   bool trained() const { return !normalized_offsets.empty(); }
 
   util::Json to_json() const;
-  static TemporalModel from_json(const util::Json& doc);
+  /// Reads a temporal model at key path `path`, recording every defect in
+  /// `diagnostics`.
+  static TemporalModel from_json(const util::Json& doc, util::Diagnostics& diagnostics,
+                                 const std::string& path = "");
+  /// As above, throwing the first defect as a util::SpecError.
+  static TemporalModel from_json(const util::Json& doc, const std::string& file = "json") {
+    return util::parse_or_throw(file, [&](util::Diagnostics& d) { return from_json(doc, d); });
+  }
 };
 
 /// The full per-class model.
@@ -95,7 +115,10 @@ struct ClassModel {
   double training_bytes = 0.0;
 
   util::Json to_json() const;
-  static ClassModel from_json(const util::Json& doc);
+  /// Reads a class model at key path `path`; `size`, `count` and `temporal`
+  /// are required, as to_json() writes them.
+  static ClassModel from_json(const util::Json& doc, util::Diagnostics& diagnostics,
+                              const std::string& path);
 };
 
 }  // namespace keddah::model

@@ -31,7 +31,10 @@ struct TrainingContext {
   double max_input_bytes = 0.0;
 
   util::Json to_json() const;
-  static TrainingContext from_json(const util::Json& doc);
+  /// Reads a context at key path `path`; a count of 0 means "not recorded",
+  /// as in the defaults above.
+  static TrainingContext from_json(const util::Json& doc, util::Diagnostics& diagnostics,
+                                   const std::string& path);
 };
 
 /// The full per-job-type traffic model.
@@ -65,8 +68,16 @@ class KeddahModel {
   double predict_volume(net::FlowKind kind, double input_bytes) const;
 
   util::Json to_json() const;
-  static KeddahModel from_json(const util::Json& doc);
+  /// Reads a model at key path `path` ("" for a whole document), recording
+  /// every defect in `diagnostics`: this is keddah-lint's model check.
+  static KeddahModel from_json(const util::Json& doc, util::Diagnostics& diagnostics,
+                               const std::string& path = "");
+  /// As above, throwing the first defect as a util::SpecError naming `file`.
+  static KeddahModel from_json(const util::Json& doc, const std::string& file = "json") {
+    return util::parse_or_throw(file, [&](util::Diagnostics& d) { return from_json(doc, d); });
+  }
   void save(const std::string& path) const;
+  /// Loads and checks a model file; defects throw naming `path`.
   static KeddahModel load(const std::string& path);
 
  private:

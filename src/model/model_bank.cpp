@@ -4,6 +4,9 @@
 #include <cmath>
 #include <set>
 
+#include "util/json_reader.h"
+#include "util/strings.h"
+
 namespace keddah::model {
 
 void ModelBank::add(KeddahModel model) {
@@ -72,10 +75,16 @@ util::Json ModelBank::to_json() const {
   return doc;
 }
 
-ModelBank ModelBank::from_json(const util::Json& doc) {
+ModelBank ModelBank::from_json(const util::Json& doc, util::Diagnostics& diagnostics) {
   ModelBank bank;
-  for (const auto& entry : doc.at("models").as_array()) {
-    bank.add(KeddahModel::from_json(entry));
+  util::JsonReader r(doc, "", diagnostics);
+  const util::Json* models = r.find("models");
+  if (models == nullptr || !models->is_array()) {
+    diagnostics.error("models", "a model bank is an object with a 'models' array");
+    return bank;
+  }
+  for (std::size_t i = 0; i < models->size(); ++i) {
+    bank.add(KeddahModel::from_json(models->at(i), diagnostics, util::format("models[%zu]", i)));
   }
   return bank;
 }
@@ -83,7 +92,7 @@ ModelBank ModelBank::from_json(const util::Json& doc) {
 void ModelBank::save(const std::string& path) const { to_json().save_file(path); }
 
 ModelBank ModelBank::load(const std::string& path) {
-  return from_json(util::Json::load_file(path));
+  return from_json(util::Json::load_file(path), path);
 }
 
 }  // namespace keddah::model

@@ -48,8 +48,15 @@ class ModelBank {
                                 std::uint32_t replication, std::size_t cluster_nodes);
 
   util::Json to_json() const;
-  static ModelBank from_json(const util::Json& doc);
+  /// Reads {"models": [...]}, checking entry i as KeddahModel::from_json
+  /// does at key path "models[i]".
+  static ModelBank from_json(const util::Json& doc, util::Diagnostics& diagnostics);
+  /// As above, throwing the first defect as a util::SpecError naming `file`.
+  static ModelBank from_json(const util::Json& doc, const std::string& file = "json") {
+    return util::parse_or_throw(file, [&](util::Diagnostics& d) { return from_json(doc, d); });
+  }
   void save(const std::string& path) const;
+  /// Loads and checks a bank file; defects throw naming `path`.
   static ModelBank load(const std::string& path);
 
  private:

@@ -10,6 +10,7 @@
 #include "keddah/scenario.h"
 #include "keddah/toolchain.h"
 #include "util/args.h"
+#include "util/json_reader.h"
 #include "util/strings.h"
 
 namespace keddah::serve {
@@ -146,10 +147,13 @@ void Server::register_model_file(const std::string& path, bool expect_bank) {
 
 void Server::register_model_doc(const util::Json& doc, const std::string& path,
                                 std::optional<std::size_t> bank_index) {
-  std::string name = doc.get_string("job_name", "");
-  if (name.empty()) {
-    throw std::invalid_argument(path + ": job_name: missing required string (not a model)");
-  }
+  // Check the model now, so a defective file fails startup naming its key
+  // instead of failing every later request that loads it.
+  util::Diagnostics diagnostics(path);
+  const auto checked = model::KeddahModel::from_json(
+      doc, diagnostics, bank_index ? util::format("models[%zu]", *bank_index) : "");
+  diagnostics.throw_first_error();
+  std::string name = checked.job_name();
   // Distinct models sharing a job name stay addressable via "#2", "#3", ...
   if (registry_.count(name) != 0) {
     std::size_t n = 2;
@@ -174,7 +178,8 @@ std::shared_ptr<const model::KeddahModel> Server::acquire_model(const std::strin
   const util::Json doc = util::Json::load_file(reg->second.path);
   const util::Json& node =
       reg->second.bank_index ? doc.at("models").at(*reg->second.bank_index) : doc;
-  auto loaded = std::make_shared<const model::KeddahModel>(model::KeddahModel::from_json(node));
+  auto loaded = std::make_shared<const model::KeddahModel>(
+      model::KeddahModel::from_json(node, reg->second.path));
   {
     util::MutexLock stats_lock(&stats_mutex_);
     ++model_loads_;

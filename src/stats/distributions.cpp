@@ -13,10 +13,6 @@ namespace keddah::stats {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-void require(bool ok, const char* what) {
-  if (!ok) throw std::invalid_argument(std::string("distribution: ") + what);
-}
 }  // namespace
 
 std::span<const DistFamily> all_families() {
@@ -56,39 +52,67 @@ DistFamily family_from_name(const std::string& name) {
   throw std::invalid_argument("distribution: unknown family '" + name + "'");
 }
 
+std::optional<ParamDomainError> param_domain_error(DistFamily family, double p1, double p2) {
+  const auto fail = [family](const char* param, const char* what) {
+    return ParamDomainError{param, std::string(family_name(family)) + what};
+  };
+  switch (family) {
+    case DistFamily::kExponential:
+      if (!(p1 > 0.0)) return fail("p1", " rate must be > 0");
+      break;
+    case DistFamily::kNormal:
+    case DistFamily::kLognormal:
+      if (!(p2 >= 0.0)) return fail("p2", " spread must be >= 0");
+      break;
+    case DistFamily::kWeibull:
+    case DistFamily::kGamma:
+    case DistFamily::kPareto:
+      if (!(p1 > 0.0 && p2 > 0.0)) {
+        return fail(p1 > 0.0 ? "p2" : "p1", " parameters must both be > 0");
+      }
+      break;
+    case DistFamily::kUniform:
+      if (!(p2 >= p1)) return fail("p2", " upper bound is below the lower bound");
+      break;
+    case DistFamily::kConstant:
+      break;
+  }
+  return std::nullopt;
+}
+
+Distribution Distribution::checked(DistFamily family, double p1, double p2) {
+  if (const auto error = param_domain_error(family, p1, p2)) {
+    throw std::invalid_argument("distribution: " + error->message);
+  }
+  return {family, p1, p2};
+}
+
 Distribution Distribution::exponential(double lambda) {
-  require(lambda > 0.0, "exponential rate must be positive");
-  return {DistFamily::kExponential, lambda, 0.0};
+  return checked(DistFamily::kExponential, lambda, 0.0);
 }
 
 Distribution Distribution::normal(double mean, double stddev) {
-  require(stddev >= 0.0, "normal stddev must be non-negative");
-  return {DistFamily::kNormal, mean, stddev};
+  return checked(DistFamily::kNormal, mean, stddev);
 }
 
 Distribution Distribution::lognormal(double mu, double sigma) {
-  require(sigma >= 0.0, "lognormal sigma must be non-negative");
-  return {DistFamily::kLognormal, mu, sigma};
+  return checked(DistFamily::kLognormal, mu, sigma);
 }
 
 Distribution Distribution::weibull(double shape, double scale) {
-  require(shape > 0.0 && scale > 0.0, "weibull params must be positive");
-  return {DistFamily::kWeibull, shape, scale};
+  return checked(DistFamily::kWeibull, shape, scale);
 }
 
 Distribution Distribution::gamma_dist(double shape, double scale) {
-  require(shape > 0.0 && scale > 0.0, "gamma params must be positive");
-  return {DistFamily::kGamma, shape, scale};
+  return checked(DistFamily::kGamma, shape, scale);
 }
 
 Distribution Distribution::pareto(double xm, double alpha) {
-  require(xm > 0.0 && alpha > 0.0, "pareto params must be positive");
-  return {DistFamily::kPareto, xm, alpha};
+  return checked(DistFamily::kPareto, xm, alpha);
 }
 
 Distribution Distribution::uniform(double lo, double hi) {
-  require(hi >= lo, "uniform needs hi >= lo");
-  return {DistFamily::kUniform, lo, hi};
+  return checked(DistFamily::kUniform, lo, hi);
 }
 
 Distribution Distribution::constant(double value) { return {DistFamily::kConstant, value, 0.0}; }
@@ -297,29 +321,29 @@ util::Json Distribution::to_json() const {
   return doc;
 }
 
-Distribution Distribution::from_json(const util::Json& doc) {
-  const DistFamily family = family_from_name(doc.at("family").as_string());
-  const double p1 = doc.at("p1").as_number();
-  const double p2 = doc.at("p2").as_number();
-  switch (family) {
-    case DistFamily::kExponential:
-      return exponential(p1);
-    case DistFamily::kNormal:
-      return normal(p1, p2);
-    case DistFamily::kLognormal:
-      return lognormal(p1, p2);
-    case DistFamily::kWeibull:
-      return weibull(p1, p2);
-    case DistFamily::kGamma:
-      return gamma_dist(p1, p2);
-    case DistFamily::kPareto:
-      return pareto(p1, p2);
-    case DistFamily::kUniform:
-      return uniform(p1, p2);
-    case DistFamily::kConstant:
-      return constant(p1);
+Distribution Distribution::from_json(const util::Json& doc, util::Diagnostics& diagnostics,
+                                     const std::string& path) {
+  util::JsonReader r(doc, path, diagnostics);
+  if (!r.expect_object("must be an object {family, p1, p2}")) return {};
+  std::vector<std::string> names;
+  for (const DistFamily f : all_families()) names.emplace_back(family_name(f));
+  const std::size_t errors = diagnostics.num_errors();
+  r.require("family");
+  const auto family = static_cast<DistFamily>(
+      r.name("family", names, static_cast<std::size_t>(DistFamily::kConstant),
+             "distribution family"));
+  auto param = [&](const char* field) {
+    r.require(field);
+    return r.number(field, 0.0);
+  };
+  const double p1 = param("p1");
+  const double p2 = param("p2");
+  if (diagnostics.num_errors() != errors) return {};
+  if (const auto error = param_domain_error(family, p1, p2)) {
+    r.error(error->param, error->message);
+    return {};
   }
-  throw std::invalid_argument("distribution: bad family");
+  return {family, p1, p2};
 }
 
 }  // namespace keddah::stats

@@ -5,10 +5,11 @@
 // persisted and replayed.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string>
 
-#include "util/json.h"
+#include "util/json_reader.h"
 #include "util/rng.h"
 
 namespace keddah::stats {
@@ -33,6 +34,16 @@ const char* family_name(DistFamily family);
 
 /// Inverse of family_name; throws std::invalid_argument on unknown names.
 DistFamily family_from_name(const std::string& name);
+
+/// Why a parameter pair lies outside its family's domain.
+struct ParamDomainError {
+  const char* param;  ///< the offending parameter, "p1" or "p2"
+  std::string message;
+};
+
+/// The family's parameter-domain rule, shared by the factories and the JSON
+/// loader; nullopt when (p1, p2) is admissible.
+std::optional<ParamDomainError> param_domain_error(DistFamily family, double p1, double p2);
 
 /// A parameterized distribution.
 class Distribution {
@@ -78,10 +89,19 @@ class Distribution {
   std::string describe() const;
 
   util::Json to_json() const;
-  static Distribution from_json(const util::Json& doc);
+  /// Reads {family, p1, p2} at key path `path`, recording every defect in
+  /// `diagnostics`; yields the default distribution when there is one.
+  static Distribution from_json(const util::Json& doc, util::Diagnostics& diagnostics,
+                                const std::string& path = "");
+  /// As above, throwing the first defect as a util::SpecError.
+  static Distribution from_json(const util::Json& doc, const std::string& file = "json") {
+    return util::parse_or_throw(file, [&](util::Diagnostics& d) { return from_json(doc, d); });
+  }
 
  private:
   Distribution(DistFamily family, double p1, double p2) : family_(family), p1_(p1), p2_(p2) {}
+  /// Throws std::invalid_argument when (p1, p2) is outside the family's domain.
+  static Distribution checked(DistFamily family, double p1, double p2);
 
   DistFamily family_;
   double p1_;

@@ -37,12 +37,18 @@ util::Json LinearFit::to_json() const {
   return doc;
 }
 
-LinearFit LinearFit::from_json(const util::Json& doc) {
+LinearFit LinearFit::from_json(const util::Json& doc, util::Diagnostics& diagnostics,
+                               const std::string& path) {
   LinearFit fit;
-  fit.slope = doc.at("slope").as_number();
-  fit.intercept = doc.at("intercept").as_number();
-  fit.r2 = doc.get_number("r2", 0.0);
-  fit.n = static_cast<std::size_t>(doc.get_number("n", 0.0));
+  util::JsonReader r(doc, path, diagnostics);
+  if (!r.expect_object("must be an object {slope, intercept, r2, n}")) return fit;
+  r.require("slope");
+  fit.slope = r.number("slope", 0.0);
+  r.require("intercept");
+  fit.intercept = r.number("intercept", 0.0);
+  fit.r2 = r.number("r2", 0.0);
+  if (fit.r2 > 1.0 + 1e-9) r.error("r2", "coefficient of determination cannot exceed 1");
+  fit.n = r.count("n", 0, 0.0, "sample count must be >= 0");
   return fit;
 }
 

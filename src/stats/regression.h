@@ -3,8 +3,9 @@
 #pragma once
 
 #include <span>
+#include <string>
 
-#include "util/json.h"
+#include "util/json_reader.h"
 
 namespace keddah::stats {
 
@@ -19,7 +20,14 @@ struct LinearFit {
   double predict(double x) const { return intercept + slope * x; }
 
   util::Json to_json() const;
-  static LinearFit from_json(const util::Json& doc);
+  /// Reads {slope, intercept, r2, n} at key path `path`, recording every
+  /// defect in `diagnostics`.
+  static LinearFit from_json(const util::Json& doc, util::Diagnostics& diagnostics,
+                             const std::string& path = "");
+  /// As above, throwing the first defect as a util::SpecError.
+  static LinearFit from_json(const util::Json& doc, const std::string& file = "json") {
+    return util::parse_or_throw(file, [&](util::Diagnostics& d) { return from_json(doc, d); });
+  }
 };
 
 /// Ordinary least squares. Requires xs.size() == ys.size() >= 2 with

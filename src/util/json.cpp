@@ -341,14 +341,6 @@ bool Json::contains(const std::string& key) const {
   return is_object() && object_.count(key) != 0;
 }
 
-double Json::get_number(const std::string& key, double fallback) const {
-  return contains(key) && at(key).is_number() ? at(key).as_number() : fallback;
-}
-
-std::string Json::get_string(const std::string& key, const std::string& fallback) const {
-  return contains(key) && at(key).is_string() ? at(key).as_string() : fallback;
-}
-
 Json& Json::operator[](const std::string& key) {
   if (type_ == Type::kNull) type_ = Type::kObject;
   if (type_ != Type::kObject) type_error("object", type_);

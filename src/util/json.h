@@ -56,11 +56,10 @@ class Json {
   const Array& as_array() const;
   const Object& as_object() const;
 
-  /// Object field access. `at` throws when missing; `get` returns a default.
+  /// Object field access; `at` throws when missing. Spec documents are read
+  /// through util::JsonReader, which reports defects instead.
   const Json& at(const std::string& key) const;
   bool contains(const std::string& key) const;
-  double get_number(const std::string& key, double fallback) const;
-  std::string get_string(const std::string& key, const std::string& fallback) const;
 
   /// Mutators (convert the node to the needed container type if null).
   Json& operator[](const std::string& key);

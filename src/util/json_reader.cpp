@@ -91,6 +91,11 @@ JsonReader::~JsonReader() {
   }
 }
 
+bool JsonReader::expect_object(const std::string& message) const {
+  if (!is_object()) diagnostics_.error(path_.empty() ? "$" : path_, message);
+  return is_object();
+}
+
 std::string JsonReader::key(const std::string& field) const {
   return path_.empty() ? field : path_ + "." + field;
 }
@@ -108,6 +113,12 @@ const Json* JsonReader::find(const std::string& field) {
   return &it->second;
 }
 
+const Json* JsonReader::require(const std::string& field) {
+  const Json* value = find(field);
+  if (value == nullptr) error(field, "missing required key");
+  return value;
+}
+
 double JsonReader::number(const std::string& field, double fallback) {
   const Json* value = find(field);
   if (value == nullptr) return fallback;
@@ -119,14 +130,6 @@ double JsonReader::number(const std::string& field, double fallback) {
                            : "must be a finite number",
           "replace with a finite numeric value");
     return fallback;
-  }
-  return value->as_number();
-}
-
-std::optional<double> JsonReader::finite(const std::string& field) {
-  const Json* value = find(field);
-  if (value == nullptr || !value->is_number() || !std::isfinite(value->as_number())) {
-    return std::nullopt;
   }
   return value->as_number();
 }

@@ -1,17 +1,16 @@
 // Typed, diagnosing reads of JSON spec documents.
 //
-// Every spec parser (scenario, cluster, fault plan, api requests) reads its
-// document through a JsonReader. A read never throws on malformed input: it
-// records an error under the field's JSON key path in a Diagnostics sink
-// and hands back the fallback, so one pass finds every defect. That makes
-// the parser its own linter — keddah-lint prints the sink, and a throwing
-// entry point raises its first error as a SpecError. Keys a parser never
-// reads become "unknown key" warnings, so no schema keeps a separate list of
-// its keys.
+// Every spec parser (scenario, cluster, fault plan, api requests) and model
+// loader (models, banks) reads its document through a JsonReader. A read
+// never throws on malformed input: it records an error under the field's
+// JSON key path in a Diagnostics sink and hands back the fallback, so one
+// pass finds every defect. That makes the parser its own linter —
+// keddah-lint prints the sink, and a throwing entry point raises its first
+// error as a SpecError. Keys a parser never reads become "unknown key"
+// warnings, so no schema keeps a separate list of its keys.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -82,6 +81,9 @@ class JsonReader {
   JsonReader& operator=(const JsonReader&) = delete;
 
   bool is_object() const { return object_.is_object(); }
+  /// is_object(), reporting `message` at this object's own key path ("$"
+  /// for the document root) when it is not.
+  bool expect_object(const std::string& message) const;
   Diagnostics& diagnostics() const { return diagnostics_; }
   /// Key path of `field` inside this object.
   std::string key(const std::string& field) const;
@@ -89,12 +91,11 @@ class JsonReader {
 
   /// The field's value, or null when absent. Marks the field read.
   const Json* find(const std::string& field);
+  /// find(), but an absent field reports "missing required key".
+  const Json* require(const std::string& field);
 
   /// A finite number.
   double number(const std::string& field, double fallback);
-  /// The field's value when it is a finite number, reporting nothing — for
-  /// callers whose diagnostic is specific to the field.
-  std::optional<double> finite(const std::string& field);
   /// A non-negative integer count (fractions truncate). Values below `min`
   /// report `message` and yield the fallback.
   std::uint64_t count(const std::string& field, std::uint64_t fallback, double min,
@@ -125,5 +126,16 @@ class JsonReader {
   std::vector<const std::string*> read_;
   bool report_unknown_ = true;
 };
+
+/// Runs a collecting parser `parse(diagnostics)` over a document named
+/// `file` and throws its first error as a SpecError — the throwing entry
+/// point every collecting parser pairs with.
+template <typename Parse>
+auto parse_or_throw(const std::string& file, Parse parse) {
+  Diagnostics diagnostics(file);
+  auto value = parse(diagnostics);
+  diagnostics.throw_first_error();
+  return value;
+}
 
 }  // namespace keddah::util

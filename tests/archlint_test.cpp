@@ -16,6 +16,7 @@
 
 #include "lint/archlint.h"
 #include "lint/detlint.h"
+#include "util/json_reader.h"
 
 namespace kl = keddah::lint;
 namespace fs = std::filesystem;
@@ -115,6 +116,51 @@ TEST(ArchlintFixtures, FaninBudgetComesFromLayersJson) {
   const auto it = report.header_fanin.find(fixture("fanin_budget") + "/base/hub.h");
   ASSERT_NE(it, report.header_fanin.end());
   EXPECT_EQ(it->second, 2u);
+}
+
+TEST(ArchlintLayers, TableIsReadThroughTheCheckedReader) {
+  namespace ku = keddah::util;
+  {
+    ku::Diagnostics diagnostics("layers.json");
+    const kl::LayerSpec spec = kl::layer_spec_from_json(
+        ku::Json::parse(R"({"layers": [["util"], ["sim", "stats"]], "max_fanin": 12,
+                            "strict_modules": true, "fanin": 3})"),
+        diagnostics);
+    EXPECT_FALSE(diagnostics.has_errors());
+    EXPECT_EQ(spec.layers, (std::vector<std::vector<std::string>>{{"util"}, {"sim", "stats"}}));
+    EXPECT_EQ(spec.max_fanin, 12u);
+    EXPECT_TRUE(spec.strict_modules);
+    ASSERT_EQ(diagnostics.all().size(), 1u);  // the misspelt key warns
+    EXPECT_EQ(diagnostics.all()[0].key, "fanin");
+    EXPECT_EQ(diagnostics.all()[0].severity, ku::Severity::kWarning);
+  }
+  // A negative budget was an undefined double -> size_t cast.
+  for (const char* text : {R"({"layers": [["util"]], "max_fanin": -1})",
+                           R"({"layers": [["util"]], "max_fanin": "80"})"}) {
+    ku::Diagnostics diagnostics("layers.json");
+    (void)kl::layer_spec_from_json(ku::Json::parse(text), diagnostics);
+    ASSERT_TRUE(diagnostics.has_errors()) << text;
+    EXPECT_EQ(diagnostics.all()[0].key, "max_fanin") << text;
+  }
+  ku::Diagnostics diagnostics("layers.json");
+  (void)kl::layer_spec_from_json(ku::Json::parse(R"({"layers": [["util", 3], "sim"]})"),
+                                 diagnostics);
+  ASSERT_EQ(diagnostics.num_errors(), 2u);
+  EXPECT_EQ(diagnostics.all()[0].key, "layers[0]");
+  EXPECT_EQ(diagnostics.all()[1].key, "layers[1]");
+}
+
+TEST(ArchlintLayers, LoadedTableThrowsItsFirstErrorNamingTheFile) {
+  const std::string path = ::testing::TempDir() + "/archlint_bad_layers.json";
+  std::ofstream(path) << R"({"layers": [["util"]], "max_fanin": -1})";
+  try {
+    (void)kl::load_layer_spec(path);
+    FAIL() << "a negative max_fanin loaded";
+  } catch (const keddah::util::SpecError& e) {
+    EXPECT_EQ(e.file(), path);
+    EXPECT_EQ(e.key(), "max_fanin");
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(ArchlintRules, RuleIdsAreSortedAndStable) {

@@ -207,6 +207,34 @@ TEST(Cli, MissingFilesReportedAsErrors) {
   EXPECT_EQ(replay.code, 1);
 }
 
+TEST(Cli, GenerateRejectsDefectiveModelsNamingTheKey) {
+  // A bank handed over as a model used to load as an empty model and
+  // "generate 0 flows"; a class without "count" failed with a bare
+  // "json: missing key 'count'".
+  const std::string bank_path = temp_path("cli_bank_as_model.json");
+  std::ofstream(bank_path) << R"({"models": [{"job_name": "sort", "classes": {}}]})";
+  const std::string schedule_path = temp_path("cli_defective_schedule.csv");
+  std::filesystem::remove(schedule_path);
+  auto result = run_cli({"generate", "--model", bank_path, "--out", schedule_path});
+  EXPECT_EQ(result.code, 1);
+  EXPECT_NE(result.err.find(bank_path + ": job_name: missing or empty job name"),
+            std::string::npos)
+      << result.err;
+
+  const std::string model_path = temp_path("cli_model_without_count.json");
+  std::ofstream(model_path) << R"({"job_name": "sort", "classes": {"shuffle": {
+      "size": {"kind": "empirical", "empirical": [1, 2, 3]},
+      "temporal": {"offsets": [0, 1]}}}})";
+  result = run_cli({"generate", "--model", model_path, "--out", schedule_path});
+  EXPECT_EQ(result.code, 1);
+  EXPECT_NE(result.err.find(model_path + ": classes.shuffle.count: missing required key"),
+            std::string::npos)
+      << result.err;
+  EXPECT_FALSE(std::filesystem::exists(schedule_path));
+  std::filesystem::remove(bank_path);
+  std::filesystem::remove(model_path);
+}
+
 TEST(Cli, ClusterFlagsAreRangeChecked) {
   // slowstart > 1 never releases the reducers; the run used to spin forever.
   const auto result = run_cli({"capture", "--slowstart", "2", "--input", "64MB"});

@@ -16,7 +16,9 @@
 #include "api/specs.h"
 #include "hadoop/faults.h"
 #include "keddah/scenario.h"
+#include "keddah/toolchain.h"
 #include "lint/lint.h"
+#include "model/model_bank.h"
 #include "util/json.h"
 #include "util/json_reader.h"
 
@@ -210,8 +212,9 @@ TEST(LintFile, MissingFileIsADiagnostic) {
 
 // ---------------------------------------------------------------------------
 // Golden corpus: keddah-lint's exact output over every fixture, every shipped
-// example, and single-field mutations of two examples. A diagnostic that
-// changes wording, key, severity, or order shows up as a text diff against
+// example, single-field mutations of two examples, and single-field
+// mutations of a trained model. A diagnostic that changes wording, key,
+// severity, or order shows up as a text diff against
 // tests/golden/lint_diagnostics.txt.
 
 namespace {
@@ -452,6 +455,196 @@ const std::vector<Mutation>& mutations() {
   return kMutations;
 }
 
+/// A trained model's to_json(): one small sort run captured on a 2x4
+/// cluster and fitted by the toolchain.
+const ku::Json& trained_model() {
+  static const ku::Json kModel = [] {
+    keddah::hadoop::ClusterConfig cfg;
+    cfg.racks = 2;
+    cfg.hosts_per_rack = 4;
+    cfg.block_size = 64ull << 20;
+    keddah::core::CaptureSpec capture;
+    capture.workload = keddah::workloads::Workload::kSort;
+    capture.input_sizes = {256ull << 20};
+    capture.seed = 23;
+    capture.threads = 1;
+    return keddah::core::train("sort", keddah::core::capture_runs(cfg, capture), cfg).to_json();
+  }();
+  return kModel;
+}
+
+/// Removes `key` from the object `doc`.
+void erase_key(ku::Json& doc, const std::string& key) {
+  ku::Json::Object fields = doc.as_object();
+  fields.erase(key);
+  doc = ku::Json(std::move(fields));
+}
+
+/// A mutation of the trained model, read as a model or wrapped into a bank
+/// (kModelBank) — the document kind is given, not sniffed, so a bank handed
+/// over as a model is checked as a model, as `keddah generate --model` does.
+struct ModelMutation {
+  kl::FileKind kind;
+  std::string label;
+  std::function<void(ku::Json&)> edit;
+};
+
+ku::Json& shuffle(ku::Json& d) { return d["classes"]["shuffle"]; }
+
+ku::Json bank_of(ku::Json::Array models) {
+  ku::Json bank = ku::Json::object();
+  bank["models"] = ku::Json(std::move(models));
+  return bank;
+}
+
+const std::vector<ModelMutation>& model_mutations() {
+  using K = kl::FileKind;
+  static const std::vector<ModelMutation> kMutations = {
+      {K::kModel, "as trained", [](ku::Json&) {}},
+      {K::kModel, "not an object", [](ku::Json& d) { d = ku::Json(3); }},
+      {K::kModel, "bank passed as a model", [](ku::Json& d) { d = bank_of({d}); }},
+      {K::kModel, "job_name missing", [](ku::Json& d) { erase_key(d, "job_name"); }},
+      {K::kModel, "job_name empty", [](ku::Json& d) { d["job_name"] = ku::Json(""); }},
+      {K::kModel, "job_name number", [](ku::Json& d) { d["job_name"] = ku::Json(7); }},
+      {K::kModel, "unknown top-level key", [](ku::Json& d) { d["jobname"] = ku::Json("sort"); }},
+      {K::kModel, "context.cluster_nodes negative",
+       [](ku::Json& d) { d["context"]["cluster_nodes"] = ku::Json(-1); }},
+      {K::kModel, "context.cluster_nodes string",
+       [](ku::Json& d) { d["context"]["cluster_nodes"] = ku::Json("8"); }},
+      {K::kModel, "context.replication above the cluster size",
+       [](ku::Json& d) { d["context"]["replication"] = ku::Json(99); }},
+      {K::kModel, "context.replication 1e30",
+       [](ku::Json& d) { d["context"]["replication"] = ku::Json(1e30); }},
+      {K::kModel, "context.block_size negative",
+       [](ku::Json& d) { d["context"]["block_size"] = ku::Json(-5); }},
+      {K::kModel, "context.block_size zero (not recorded)",
+       [](ku::Json& d) { d["context"]["block_size"] = ku::Json(0); }},
+      {K::kModel, "context input range inverted",
+       [](ku::Json& d) { d["context"]["min_input_bytes"] = ku::Json(1e15); }},
+      {K::kModel, "context unknown key",
+       [](ku::Json& d) { d["context"]["blocksize"] = ku::Json(1); }},
+      {K::kModel, "context not an object", [](ku::Json& d) { d["context"] = ku::Json(1); }},
+      {K::kModel, "duration_vs_input.n 1e30",
+       [](ku::Json& d) { d["duration_vs_input"]["n"] = ku::Json(1e30); }},
+      {K::kModel, "duration_vs_input.n negative",
+       [](ku::Json& d) { d["duration_vs_input"]["n"] = ku::Json(-3); }},
+      {K::kModel, "duration_vs_input.slope null",
+       [](ku::Json& d) { d["duration_vs_input"]["slope"] = ku::Json(nullptr); }},
+      {K::kModel, "duration_vs_input.intercept missing",
+       [](ku::Json& d) { erase_key(d["duration_vs_input"], "intercept"); }},
+      {K::kModel, "duration_vs_input.r2 above 1",
+       [](ku::Json& d) { d["duration_vs_input"]["r2"] = ku::Json(1.5); }},
+      {K::kModel, "classes not an object", [](ku::Json& d) { d["classes"] = ku::Json(3); }},
+      {K::kModel, "unknown class key",
+       [](ku::Json& d) { d["classes"]["shufle"] = shuffle(d); }},
+      {K::kModel, "classes.shuffle not an object",
+       [](ku::Json& d) { shuffle(d) = ku::Json("lognormal"); }},
+      {K::kModel, "classes.shuffle.size missing",
+       [](ku::Json& d) { erase_key(shuffle(d), "size"); }},
+      {K::kModel, "classes.shuffle.count missing",
+       [](ku::Json& d) { erase_key(shuffle(d), "count"); }},
+      {K::kModel, "classes.shuffle.temporal missing",
+       [](ku::Json& d) { erase_key(shuffle(d), "temporal"); }},
+      {K::kModel, "classes.shuffle.training_flows negative",
+       [](ku::Json& d) { shuffle(d)["training_flows"] = ku::Json(-1); }},
+      {K::kModel, "classes.shuffle.training_bytes negative",
+       [](ku::Json& d) { shuffle(d)["training_bytes"] = ku::Json(-1.0); }},
+      {K::kModel, "size.kind unknown",
+       [](ku::Json& d) { shuffle(d)["size"]["kind"] = ku::Json("histogram"); }},
+      {K::kModel, "size.kind empirical without samples",
+       [](ku::Json& d) {
+         shuffle(d)["size"]["kind"] = ku::Json("empirical");
+         shuffle(d)["size"]["empirical"] = ku::Json::array();
+       }},
+      {K::kModel, "size.kind parametric without a distribution",
+       [](ku::Json& d) {
+         shuffle(d)["size"]["kind"] = ku::Json("parametric");
+         erase_key(shuffle(d)["size"], "parametric");
+       }},
+      {K::kModel, "size.ks above 1",
+       [](ku::Json& d) { shuffle(d)["size"]["ks"] = ku::Json(1.5); }},
+      {K::kModel, "size.ks_pvalue negative",
+       [](ku::Json& d) { shuffle(d)["size"]["ks_pvalue"] = ku::Json(-0.1); }},
+      {K::kModel, "size.empirical non-monotone",
+       [](ku::Json& d) { shuffle(d)["size"]["empirical"] = object_of("[5.0, 9.0, 7.0]"); }},
+      {K::kModel, "size.empirical null sample",
+       [](ku::Json& d) { shuffle(d)["size"]["empirical"] = object_of("[5.0, null, 7.0]"); }},
+      {K::kModel, "size.parametric.p2 missing",
+       [](ku::Json& d) { erase_key(shuffle(d)["size"]["parametric"], "p2"); }},
+      {K::kModel, "size.parametric.p1 null",
+       [](ku::Json& d) { shuffle(d)["size"]["parametric"]["p1"] = ku::Json(nullptr); }},
+      {K::kModel, "size.parametric.family unknown",
+       [](ku::Json& d) { shuffle(d)["size"]["parametric"]["family"] = ku::Json("zipf"); }},
+      {K::kModel, "size.parametric exponential rate zero",
+       [](ku::Json& d) {
+         shuffle(d)["size"]["parametric"] =
+             object_of(R"({"family": "exponential", "p1": 0, "p2": 0})");
+       }},
+      {K::kModel, "size.parametric normal negative spread",
+       [](ku::Json& d) {
+         shuffle(d)["size"]["parametric"] =
+             object_of(R"({"family": "normal", "p1": 5, "p2": -1})");
+       }},
+      {K::kModel, "size.parametric uniform inverted",
+       [](ku::Json& d) {
+         shuffle(d)["size"]["parametric"] =
+             object_of(R"({"family": "uniform", "p1": 5, "p2": 1})");
+       }},
+      {K::kModel, "size.parametric gamma zero shape",
+       [](ku::Json& d) {
+         shuffle(d)["size"]["parametric"] =
+             object_of(R"({"family": "gamma", "p1": 0, "p2": 2})");
+       }},
+      {K::kModel, "temporal.offsets non-monotone",
+       [](ku::Json& d) {
+         shuffle(d)["temporal"]["offsets"] = object_of("[0.0, 0.75, 0.25, 1.0]");
+       }},
+      {K::kModel, "temporal.offsets not an array",
+       [](ku::Json& d) { shuffle(d)["temporal"]["offsets"] = ku::Json(0.5); }},
+      {K::kModel, "temporal.phase_end_frac above 1",
+       [](ku::Json& d) { shuffle(d)["temporal"]["phase_end_frac"] = ku::Json(1.5); }},
+      {K::kModel, "temporal phase inverted",
+       [](ku::Json& d) {
+         shuffle(d)["temporal"]["phase_start_frac"] = ku::Json(0.9);
+         shuffle(d)["temporal"]["phase_end_frac"] = ku::Json(0.2);
+       }},
+      {K::kModel, "count.fit missing",
+       [](ku::Json& d) { erase_key(shuffle(d)["count"], "fit"); }},
+      {K::kModel, "count.regressor number",
+       [](ku::Json& d) { shuffle(d)["count"]["regressor"] = ku::Json(2); }},
+      {K::kModel, "volume_vs_input not an object",
+       [](ku::Json& d) { d["volume_vs_input"] = ku::Json::array(); }},
+      {K::kModel, "volume_vs_input.shuffle.slope string",
+       [](ku::Json& d) { d["volume_vs_input"]["shuffle"]["slope"] = ku::Json("fast"); }},
+      {K::kModel, "volume_vs_input unknown class",
+       [](ku::Json& d) { d["volume_vs_input"]["other"] = d["volume_vs_input"]["shuffle"]; }},
+      {K::kModelBank, "bank of two models", [](ku::Json& d) { d = bank_of({d, d}); }},
+      {K::kModelBank, "bank entry missing count",
+       [](ku::Json& d) {
+         ku::Json bad = d;
+         erase_key(shuffle(bad), "count");
+         d = bank_of({d, bad});
+       }},
+      {K::kModelBank, "bank entry not an object",
+       [](ku::Json& d) { d = object_of(R"({"models": [4]})"); }},
+      {K::kModelBank, "bank models not an array",
+       [](ku::Json& d) { d = object_of(R"({"models": {}})"); }},
+  };
+  return kMutations;
+}
+
+/// Lints a model-corpus document as the kind its mutation names.
+kl::LintReport lint_as(kl::FileKind kind, const ku::Json& doc, const std::string& file) {
+  kl::LintReport report;
+  report.kind = kind;
+  if (kind == kl::FileKind::kModel) {
+    kl::lint_model(doc, file, report.diagnostics);
+  } else {
+    kl::lint_model_bank(doc, file, report.diagnostics);
+  }
+  return report;
+}
+
 /// keddah-lint's stdout for one report, as tools/keddah_lint.cpp prints it,
 /// plus the exit code the tool would return for it alone.
 std::string tool_output(const kl::LintReport& report, const std::string& file) {
@@ -494,6 +687,12 @@ std::string golden_corpus_output() {
     const std::string label = m.base + " [" + m.label + "]";
     text += "== " + label + "\n" + tool_output(kl::lint_document(doc, label), label);
   }
+  for (const auto& m : model_mutations()) {
+    ku::Json doc = trained_model();
+    m.edit(doc);
+    const std::string label = "trained model [" + m.label + "]";
+    text += "== " + label + "\n" + tool_output(lint_as(m.kind, doc, label), label);
+  }
   text = replace_all(text, KEDDAH_LINT_FIXTURES, "tests/fixtures/lint");
   return replace_all(text, KEDDAH_EXAMPLE_SCENARIOS, "examples/scenarios");
 }
@@ -516,25 +715,37 @@ TEST(LintGolden, OutputMatchesCommittedText) {
 }
 
 // ---------------------------------------------------------------------------
-// Lint and the runtime parsers agree: over every fixture, example and
-// corpus mutation, lint reports an error exactly when the parser throws,
-// and the parser's exception is lint's first error.
+// Lint and the runtime loaders agree: over every fixture, example and
+// corpus mutation (scenario, fault plan, model and bank), lint reports an
+// error exactly when the throwing loader throws, and the loader's exception
+// is lint's first error.
 
 namespace {
 
 /// Throws what the runtime parser for `kind` throws on `doc`, if anything.
 void run_parser(kl::FileKind kind, const ku::Json& doc, const std::string& file) {
-  if (kind == kl::FileKind::kScenario) {
-    (void)keddah::core::parse_scenario(doc, file);
-    (void)keddah::api::parse_whatif_request(doc, file);
-  } else {
-    (void)keddah::hadoop::parse_fault_plan(doc, file, 0);
+  switch (kind) {
+    case kl::FileKind::kScenario:
+      (void)keddah::core::parse_scenario(doc, file);
+      (void)keddah::api::parse_whatif_request(doc, file);
+      break;
+    case kl::FileKind::kFaultPlan:
+      (void)keddah::hadoop::parse_fault_plan(doc, file, 0);
+      break;
+    case kl::FileKind::kModel:
+      (void)keddah::model::KeddahModel::from_json(doc, file);
+      break;
+    case kl::FileKind::kModelBank:
+      (void)keddah::model::ModelBank::from_json(doc, file);
+      break;
+    case kl::FileKind::kUnknown:
+      break;
   }
 }
 
-void expect_agreement(const ku::Json& doc, const std::string& file) {
-  const auto report = kl::lint_document(doc, file);
-  if (report.kind != kl::FileKind::kScenario && report.kind != kl::FileKind::kFaultPlan) return;
+void expect_agreement(const kl::LintReport& report, const ku::Json& doc,
+                      const std::string& file) {
+  if (report.kind == kl::FileKind::kUnknown) return;
   const auto first_error =
       std::find_if(report.diagnostics.begin(), report.diagnostics.end(),
                    [](const kl::Diagnostic& d) { return d.severity == kl::Severity::kError; });
@@ -547,6 +758,10 @@ void expect_agreement(const ku::Json& doc, const std::string& file) {
     EXPECT_EQ(e.key(), first_error->key) << file;
     EXPECT_EQ(std::string(e.what()), first_error->to_string()) << file;
   }
+}
+
+void expect_agreement(const ku::Json& doc, const std::string& file) {
+  expect_agreement(kl::lint_document(doc, file), doc, file);
 }
 
 }  // namespace
@@ -573,5 +788,14 @@ TEST(LintParseAgreement, CorpusMutations) {
     auto doc = ku::Json::load_file(example_scenario(m.base));
     m.edit(doc);
     expect_agreement(doc, m.base + " [" + m.label + "]");
+  }
+}
+
+TEST(LintParseAgreement, ModelMutations) {
+  for (const auto& m : model_mutations()) {
+    ku::Json doc = trained_model();
+    m.edit(doc);
+    const std::string label = "trained model [" + m.label + "]";
+    expect_agreement(lint_as(m.kind, doc, label), doc, label);
   }
 }

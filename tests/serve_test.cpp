@@ -19,6 +19,7 @@
 #include "keddah/toolchain.h"
 #include "serve/server.h"
 #include "util/json.h"
+#include "util/json_reader.h"
 
 namespace kc = keddah::core;
 namespace ks = keddah::serve;
@@ -268,6 +269,30 @@ TEST(Serve, ReproduceUsesTheModelBankAndRejectsUnknownModels) {
   EXPECT_NE(unknown.body.find("unknown model"), std::string::npos);
 
   std::filesystem::remove(model_path);
+}
+
+TEST(Serve, DefectiveModelFailsStartupNamingItsKey) {
+  // A model with a null distribution parameter used to register and then
+  // fail every /v1/reproduce and /v1/validate that loaded it.
+  const std::string model_path = std::string(KEDDAH_LINT_FIXTURES) + "/model_nan_params.json";
+  ks::ServeOptions options;
+  options.model_files = {model_path};
+  try {
+    ks::Server server(options);
+    FAIL() << "a model with a null parameter registered";
+  } catch (const ku::SpecError& e) {
+    EXPECT_EQ(e.file(), model_path);
+    EXPECT_EQ(e.key(), "classes.shuffle.size.parametric.p1");
+  }
+  // Bank entries are checked under their index.
+  ks::ServeOptions bank_options;
+  bank_options.model_bank_file = std::string(KEDDAH_LINT_FIXTURES) + "/bank_bad_entry.json";
+  try {
+    ks::Server server(bank_options);
+    FAIL() << "a bank with a nameless entry registered";
+  } catch (const ku::SpecError& e) {
+    EXPECT_EQ(e.key(), "models[1].job_name");
+  }
 }
 
 namespace {

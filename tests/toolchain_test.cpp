@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 
 #include "keddah/toolchain.h"
+#include "util/json_reader.h"
 
 namespace kc = keddah::core;
 namespace kg = keddah::gen;
@@ -171,4 +174,49 @@ TEST(Toolchain, ShuffleHeavyVsLightJobsModelDifferently) {
   const double sort_shuffle = sort_model.predict_volume(kn::FlowKind::kShuffle, 1e9);
   const double grep_shuffle = grep_model.predict_volume(kn::FlowKind::kShuffle, 1e9);
   EXPECT_GT(sort_shuffle, 100.0 * grep_shuffle);
+}
+
+TEST(Toolchain, LoadRunChecksTheMetadataFile) {
+  const std::string base = ::testing::TempDir() + "/keddah_meta_check";
+  const std::string meta = base + ".meta.json";
+  kc::save_run(km::TrainingRun{}, base);
+  std::ofstream(meta) << R"({"input_bytes": 1073741824, "num_maps": 8, "num_reducers": 2,
+                            "job_start": 0.5, "job_end": 12.25})";
+  const auto run = kc::load_run(base);
+  EXPECT_DOUBLE_EQ(run.input_bytes, 1073741824.0);
+  EXPECT_EQ(run.num_maps, 8u);
+  EXPECT_EQ(run.num_reducers, 2u);
+  EXPECT_DOUBLE_EQ(run.duration(), 11.75);
+
+  // Negative or null counts were undefined double -> size_t casts; a
+  // missing field was a bare "json: missing key".
+  struct Case {
+    const char* text;
+    const char* key;
+  };
+  const Case cases[] = {
+      {R"({"input_bytes": 1e9, "num_maps": -4, "num_reducers": 2, "job_start": 0,
+           "job_end": 1})",
+       "num_maps"},
+      {R"({"input_bytes": 1e9, "num_maps": 4, "num_reducers": null, "job_start": 0,
+           "job_end": 1})",
+       "num_reducers"},
+      {R"({"input_bytes": 1e9, "num_maps": 4, "num_reducers": 2, "job_start": 0,
+           "job_end": -1})",
+       "job_end"},
+      {R"({"num_maps": 4, "num_reducers": 2, "job_start": 0, "job_end": 1})", "input_bytes"},
+      {"[]", "$"},
+  };
+  for (const Case& c : cases) {
+    std::ofstream(meta) << c.text;
+    try {
+      (void)kc::load_run(base);
+      ADD_FAILURE() << "accepted " << c.text;
+    } catch (const keddah::util::SpecError& e) {
+      EXPECT_EQ(e.file(), meta);
+      EXPECT_EQ(e.key(), c.key) << e.what();
+    }
+  }
+  std::remove(meta.c_str());
+  std::remove((base + ".csv").c_str());
 }

@@ -374,14 +374,6 @@ TEST(Json, TrailingGarbageThrows) {
   EXPECT_THROW(ku::Json::parse("1 2"), std::runtime_error);
 }
 
-TEST(Json, GettersWithFallback) {
-  const auto doc = ku::Json::parse(R"({"x": 3, "s": "v"})");
-  EXPECT_DOUBLE_EQ(doc.get_number("x", -1), 3.0);
-  EXPECT_DOUBLE_EQ(doc.get_number("missing", -1), -1.0);
-  EXPECT_EQ(doc.get_string("s", "d"), "v");
-  EXPECT_EQ(doc.get_string("missing", "d"), "d");
-}
-
 TEST(Table, AlignsAndRules) {
   ku::TextTable t({"name", "value"});
   t.add_row({"alpha", "1.5"});

@@ -23,14 +23,18 @@
 #   5. clang-tidy over src/, if available (config in .clang-tidy).
 #   6. cppcheck over src/, if available (suppressions in
 #      tools/cppcheck.suppress).
+#   7. The golden-trace and serve byte-identity tests built for a fixed FMA
+#      target (-O3 -march=x86-64-v3) into build-fma/, so a build whose
+#      compiler fuses multiply-adds cannot drift from the committed traces.
 #
 # Stages 1-4 need only the baked-in toolchain and always run; the script
 # fails if any executed stage fails. Stages 5-6 skip with a note when the
-# tool is not installed — unless KEDDAH_STATIC_STRICT=1 (set in CI, where
-# the tools are pinned), which turns a missing tool into a failure so the
-# gate cannot silently thin out. CLANG_TIDY / CPPCHECK override the binary
-# names (e.g. CLANG_TIDY=clang-tidy-18). Builds go into build-static/ so
-# the primary build/ is never disturbed.
+# tool is not installed, and stage 7 when the host CPU lacks AVX2 or FMA
+# (the x86-64-v3 binaries would not run) — unless KEDDAH_STATIC_STRICT=1
+# (set in CI, where the tools and hosts are pinned), which turns a skip into
+# a failure so the gate cannot silently thin out. CLANG_TIDY / CPPCHECK
+# override the binary names (e.g. CLANG_TIDY=clang-tidy-18). Builds go into
+# build-static/ and build-fma/ so the primary build/ is never disturbed.
 set -euo pipefail
 
 STRICT="${KEDDAH_STATIC_STRICT:-0}"
@@ -160,6 +164,20 @@ elif [ "${STRICT}" = "1" ]; then
   exit 1
 else
   echo "== stage 6: ${CPPCHECK} not installed, skipped =="
+fi
+
+if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
+  echo "== stage 7: GoldenTrace|Serve on an FMA target (-O3 -march=x86-64-v3) =="
+  FMA_BUILD="${ROOT}/build-fma"
+  cmake -B "${FMA_BUILD}" -S "${ROOT}" -DCMAKE_BUILD_TYPE=Release \
+        -DCMAKE_CXX_FLAGS="-march=x86-64-v3" >/dev/null
+  cmake --build "${FMA_BUILD}" -j"$(nproc)" --target golden_trace_test serve_test
+  (cd "${FMA_BUILD}" && ctest -R 'GoldenTrace|Serve' --output-on-failure)
+elif [ "${STRICT}" = "1" ]; then
+  echo "FAIL: this CPU lacks avx2/fma, so the FMA stage cannot run, but KEDDAH_STATIC_STRICT=1" >&2
+  exit 1
+else
+  echo "== stage 7: CPU lacks avx2/fma, FMA golden-trace build skipped =="
 fi
 
 echo "OK: static checks clean"

@@ -60,8 +60,7 @@ int main(int argc, char** argv) {
   kl::ArchlintReport report;
   try {
     if (!layers_file.empty()) {
-      kl::LayerSpec spec =
-          kl::layer_spec_from_json(keddah::util::Json::load_file(layers_file));
+      kl::LayerSpec spec = kl::load_layer_spec(layers_file);
       spec.strict_modules = spec.strict_modules || strict;
       report = kl::archlint_paths(paths, &spec);
     } else if (strict) {
