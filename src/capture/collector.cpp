@@ -9,32 +9,29 @@ namespace keddah::capture {
 
 FlowCollector::FlowCollector(net::Network& network, CollectorOptions options)
     : options_(std::move(options)) {
-  const net::Topology* topo = &network.topology();
+  const net::Topology& topo = network.topology();
+  std::vector<std::string> names;
+  names.reserve(topo.num_nodes());
+  for (std::uint32_t id = 0; id < topo.num_nodes(); ++id) {
+    names.push_back(topo.node(net::NodeId(id)).name);
+  }
+  trace_ = Trace(std::make_shared<const std::vector<std::string>>(std::move(names)));
   if (!options_.spill_dir.empty()) {
     std::filesystem::create_directories(options_.spill_dir);
     const std::string path =
         (std::filesystem::path(options_.spill_dir) / "capture.kspill").string();
-    std::vector<std::string> names;
-    names.reserve(topo->num_nodes());
-    for (std::uint32_t id = 0; id < topo->num_nodes(); ++id) {
-      names.push_back(topo->node(net::NodeId(id)).name);
-    }
-    spill_ = std::make_unique<SpillWriter>(path, std::move(names));
+    spill_ = std::make_unique<SpillWriter>(path, trace_.names());
   }
-  network.add_completion_tap([this, topo](const net::Flow& flow) { on_flow(flow, *topo); });
+  network.add_completion_tap([this](const net::Flow& flow) { on_flow(flow); });
 }
 
-Trace FlowCollector::take() {
-  Trace out = std::move(trace_);
-  trace_ = Trace();
-  return out;
-}
+Trace FlowCollector::take() { return std::exchange(trace_, Trace(trace_.names())); }
 
 void FlowCollector::finalize_spill() {
   if (spill_) spill_->finalize();
 }
 
-void FlowCollector::on_flow(const net::Flow& flow, const net::Topology& topo) {
+void FlowCollector::on_flow(const net::Flow& flow) {
   if (flow.loopback() && !options_.include_loopback) {
     ++dropped_loopback_;
     return;
@@ -54,12 +51,10 @@ void FlowCollector::on_flow(const net::Flow& flow, const net::Topology& topo) {
   r.job_id = flow.meta.job_id;
   r.truth = flow.meta.kind;
   if (spill_) {
-    spill_->add(r);  // the spill names endpoints from its table
-    return;
+    spill_->add(r);
+  } else {
+    trace_.add(r);
   }
-  r.src = topo.node(flow.src).name;
-  r.dst = topo.node(flow.dst).name;
-  trace_.add(std::move(r));
 }
 
 }  // namespace keddah::capture

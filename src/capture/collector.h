@@ -44,9 +44,6 @@ class FlowCollector {
   /// Moves the accumulated trace out and resets the collector.
   Trace take();
 
-  /// Clears accumulated records.
-  void clear() { trace_ = Trace(); }
-
   std::size_t dropped_loopback() const { return dropped_loopback_; }
 
   /// True when records stream to a spill file instead of the Trace.
@@ -60,9 +57,10 @@ class FlowCollector {
   void finalize_spill();
 
  private:
-  void on_flow(const net::Flow& flow, const net::Topology& topo);
+  void on_flow(const net::Flow& flow);
 
   CollectorOptions options_;
+  /// Names every node of the topology; spill_ shares its table.
   Trace trace_;
   std::unique_ptr<SpillWriter> spill_;
   std::size_t dropped_loopback_ = 0;

@@ -4,17 +4,15 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <type_traits>
 
 #include "net/flow.h"
 
 namespace keddah::capture {
 
-/// One completed flow, as seen by the capture layer.
+/// One completed flow, as seen by the capture layer. Endpoints are node ids;
+/// the Trace holding the record names them (Trace::name).
 struct FlowRecord {
-  /// Endpoint node names (hostnames in a real capture).
-  std::string src;
-  std::string dst;
   net::NodeId src_id = net::kInvalidNode;
   net::NodeId dst_id = net::kInvalidNode;
   std::uint16_t src_port = 0;
@@ -32,6 +30,7 @@ struct FlowRecord {
 
   double duration() const { return end - start; }
 };
+static_assert(std::is_trivially_copyable_v<FlowRecord>, "FlowRecord must stay id-only");
 
 /// Port-based traffic classification, mirroring the paper's methodology:
 /// Hadoop services listen on well-known ports, so the traffic class of a

@@ -18,15 +18,7 @@ TrafficMatrix TrafficMatrix::from_trace(const Trace& trace, std::size_t num_node
 
 TrafficMatrix TrafficMatrix::from_trace(const Trace& trace, std::size_t num_nodes,
                                         net::FlowKind kind) {
-  TrafficMatrix m(num_nodes);
-  for (const auto& r : trace.records()) {
-    if (classify_by_ports(r) != kind) continue;
-    if (r.src_id >= num_nodes || r.dst_id >= num_nodes) {
-      throw std::out_of_range("traffic matrix: record node id exceeds num_nodes");
-    }
-    m.cells_[r.src_id * num_nodes + r.dst_id] += r.bytes;
-  }
-  return m;
+  return from_trace(trace.filter_kind(kind), num_nodes);
 }
 
 double TrafficMatrix::bytes(std::size_t src, std::size_t dst) const {

@@ -31,8 +31,7 @@ constexpr std::uint32_t kFlagFinalized = 1u;
 
 }  // namespace
 
-SpillWriter::SpillWriter(const std::string& path, std::vector<std::string> names,
-                         std::size_t initial_capacity)
+SpillWriter::SpillWriter(const std::string& path, NameTable names, std::size_t initial_capacity)
     : path_(path),
       arena_(util::MmapArena::create(path, initial_capacity)),
       names_(std::move(names)) {
@@ -57,10 +56,10 @@ SpillWriter::~SpillWriter() {
 
 void SpillWriter::add(const FlowRecord& record) {
   if (finalized_) throw std::logic_error("spill: add() after finalize(): " + path_);
-  if (record.src_id >= names_.size() || record.dst_id >= names_.size()) {
-    const std::uint32_t id = record.src_id >= names_.size() ? record.src_id : record.dst_id;
+  if (record.src_id >= names_->size() || record.dst_id >= names_->size()) {
+    const std::uint32_t id = record.src_id >= names_->size() ? record.src_id : record.dst_id;
     throw std::out_of_range(util::format("spill: node %u past the %zu-name table: %s", id,
-                                         names_.size(), path_.c_str()));
+                                         names_->size(), path_.c_str()));
   }
   SpillRecord r{};
   r.src_id = record.src_id;
@@ -79,9 +78,9 @@ void SpillWriter::add(const FlowRecord& record) {
 void SpillWriter::finalize() {
   if (finalized_ || !arena_.is_open()) return;
   const std::uint64_t table_offset = arena_.size();
-  const auto table_count = static_cast<std::uint32_t>(names_.size());
+  const auto table_count = static_cast<std::uint32_t>(names_->size());
   arena_.append(&table_count, sizeof table_count);
-  for (const std::string& name : names_) {
+  for (const std::string& name : *names_) {
     const auto len = static_cast<std::uint32_t>(name.size());
     arena_.append(&len, sizeof len);
     arena_.append(name.data(), name.size());
@@ -154,7 +153,8 @@ SpillReader::SpillReader(const std::string& path)
   need(sizeof num_names, "name count");
   std::memcpy(&num_names, arena_.data() + cursor, sizeof num_names);
   cursor += sizeof num_names;
-  names_.reserve(num_names);
+  std::vector<std::string> names;
+  names.reserve(num_names);
   for (std::uint32_t i = 0; i < num_names; ++i) {
     std::uint32_t len = 0;
     need(sizeof len, "name length");
@@ -165,9 +165,10 @@ SpillReader::SpillReader(const std::string& path)
                              cursor - sizeof len));
     }
     need(len, "name bytes");
-    names_.emplace_back(reinterpret_cast<const char*>(arena_.data() + cursor), len);
+    names.emplace_back(reinterpret_cast<const char*>(arena_.data() + cursor), len);
     cursor += len;
   }
+  names_ = std::make_shared<const std::vector<std::string>>(std::move(names));
   // finalize() shrinks the file to the end of the name table.
   if (cursor != file_size) {
     bad(path, util::format("%zu trailing bytes at offset %zu after the name table",
@@ -183,16 +184,14 @@ const SpillRecord* SpillReader::raw(std::uint64_t i) const {
 FlowRecord SpillReader::record(std::uint64_t i) const {
   if (i >= count_) throw std::out_of_range("spill: record index out of range: " + arena_.path());
   const SpillRecord* b = raw(i);
-  if (b->src_id >= names_.size() || b->dst_id >= names_.size()) {
+  if (b->src_id >= names_->size() || b->dst_id >= names_->size()) {
     bad(arena_.path(),
         util::format("record %llu at offset %llu references node %u past the %zu-name table",
                      static_cast<unsigned long long>(i),
                      static_cast<unsigned long long>(records_offset_ + i * sizeof(SpillRecord)),
-                     b->src_id >= names_.size() ? b->src_id : b->dst_id, names_.size()));
+                     b->src_id >= names_->size() ? b->src_id : b->dst_id, names_->size()));
   }
   FlowRecord r;
-  r.src = names_[b->src_id];
-  r.dst = names_[b->dst_id];
   r.src_id = net::NodeId(b->src_id);
   r.dst_id = net::NodeId(b->dst_id);
   r.src_port = b->src_port;
@@ -206,7 +205,7 @@ FlowRecord SpillReader::record(std::uint64_t i) const {
 }
 
 Trace SpillReader::to_trace() const {
-  Trace trace;
+  Trace trace(names_);
   for (std::uint64_t i = 0; i < count_; ++i) trace.add(record(i));
   return trace;
 }

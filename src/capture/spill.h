@@ -64,10 +64,9 @@ static_assert(sizeof(SpillRecord) == 48, "spill record layout drifted");
 /// header; until then the file on disk is marked unfinalized.
 class SpillWriter {
  public:
-  /// `names[i]` names node i; every record added must have src_id and
-  /// dst_id below names.size(). A record's `src`/`dst` strings are not read.
-  SpillWriter(const std::string& path, std::vector<std::string> names,
-              std::size_t initial_capacity = 1u << 20);
+  /// `(*names)[i]` names node i; every record added must have src_id and
+  /// dst_id below names->size().
+  SpillWriter(const std::string& path, NameTable names, std::size_t initial_capacity = 1u << 20);
   ~SpillWriter();
   SpillWriter(const SpillWriter&) = delete;
   SpillWriter& operator=(const SpillWriter&) = delete;
@@ -89,7 +88,7 @@ class SpillWriter {
   std::string path_;
   util::MmapArena arena_;
   std::uint64_t count_ = 0;
-  std::vector<std::string> names_;
+  NameTable names_;
   bool finalized_ = false;
 };
 
@@ -102,17 +101,18 @@ class SpillReader {
   std::uint64_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
 
-  /// Decodes record `i` (bounds-checked; throws std::out_of_range), naming
-  /// its endpoints from the name table. Throws std::runtime_error, naming the
-  /// record's offset, when an endpoint id is past the table.
+  /// Decodes record `i` (bounds-checked; throws std::out_of_range). Throws
+  /// std::runtime_error, naming the record's offset, when an endpoint id is
+  /// past the name table.
   FlowRecord record(std::uint64_t i) const;
 
-  /// Materializes the whole spill as an in-memory Trace, in record order.
-  /// The result is bit-exact against the records the writer was fed.
+  /// Materializes the whole spill as an in-memory Trace, in record order,
+  /// sharing this reader's name table. The result is bit-exact against the
+  /// records the writer was fed.
   Trace to_trace() const;
 
   /// The name table, indexed by NodeId.
-  const std::vector<std::string>& names() const { return names_; }
+  const std::vector<std::string>& names() const { return *names_; }
 
  private:
   const SpillRecord* raw(std::uint64_t i) const;
@@ -120,7 +120,7 @@ class SpillReader {
   util::MmapArena arena_;
   std::uint64_t count_ = 0;
   std::size_t records_offset_ = kSpillHeaderBytes;
-  std::vector<std::string> names_;
+  NameTable names_;
 };
 
 }  // namespace keddah::capture

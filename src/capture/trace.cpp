@@ -1,8 +1,12 @@
 #include "capture/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <iterator>
+#include <stdexcept>
 
+#include "util/diagnostic.h"
 #include "util/strings.h"
 
 namespace keddah::capture {
@@ -23,12 +27,13 @@ net::FlowKind classify_by_ports(const FlowRecord& record) {
   return FlowKind::kOther;
 }
 
-void Trace::append(const Trace& other) {
-  records_.insert(records_.end(), other.records_.begin(), other.records_.end());
+const std::string& Trace::name(net::NodeId id) const {
+  if (!names_ || id >= names_->size()) throw std::out_of_range("trace: node has no name");
+  return (*names_)[id];
 }
 
 Trace Trace::filter_kind(net::FlowKind kind) const {
-  Trace out;
+  Trace out(names_);
   for (const auto& r : records_) {
     if (classify_by_ports(r) == kind) out.add(r);
   }
@@ -36,7 +41,7 @@ Trace Trace::filter_kind(net::FlowKind kind) const {
 }
 
 Trace Trace::filter_job(std::uint32_t job_id) const {
-  Trace out;
+  Trace out(names_);
   for (const auto& r : records_) {
     if (r.job_id == job_id) out.add(r);
   }
@@ -44,7 +49,7 @@ Trace Trace::filter_job(std::uint32_t job_id) const {
 }
 
 Trace Trace::filter_window(double t0, double t1) const {
-  Trace out;
+  Trace out(names_);
   for (const auto& r : records_) {
     if (r.start >= t0 && r.start < t1) out.add(r);
   }
@@ -132,51 +137,135 @@ std::vector<double> Trace::throughput_series(double bin_s) const {
   return bins;
 }
 
+namespace {
+
+/// The trace CSV's columns, in file order.
+constexpr const char* kColumns[] = {"src",   "dst",   "src_id", "dst_id", "src_port", "dst_port",
+                                    "bytes", "start", "end",    "job_id", "truth"};
+
+/// Parses all of `cell` as a T: false on junk, trailing junk or overflow.
+template <typename T>
+bool parse_whole(const std::string& cell, T& value) {
+  const auto [end, ec] = std::from_chars(cell.data(), cell.data() + cell.size(), value);
+  return ec == std::errc() && end == cell.data() + cell.size();
+}
+
+/// Reads one trace CSV row at a time; every rejection names the row and the
+/// column.
+class RowReader {
+ public:
+  RowReader(const util::CsvTable& table, const std::string& source)
+      : table_(table), source_(source) {
+    for (const char* column : kColumns) {
+      if (!table.has_column(column)) {
+        throw std::runtime_error(
+            util::format_diagnostic(source, "header", util::format("no '%s' column", column), ""));
+      }
+    }
+  }
+
+  void seek(std::size_t row) { row_ = row; }
+
+  [[noreturn]] void fail(const char* column, const std::string& message) const {
+    throw std::runtime_error(util::format_diagnostic(
+        source_, util::format("row %zu: %s", row_ + 1, column), message, ""));
+  }
+
+  /// A whole decimal integer in 0..max.
+  std::uint64_t integer(const char* column, std::uint64_t max) const {
+    const std::string& cell = text(column);
+    std::uint64_t value = 0;
+    if (!parse_whole(cell, value) || value > max) {
+      fail(column, util::format("'%s' is not an integer in 0..%llu", cell.c_str(),
+                                static_cast<unsigned long long>(max)));
+    }
+    return value;
+  }
+
+  /// A finite number >= 0.
+  double number(const char* column) const {
+    const std::string& cell = text(column);
+    double value = 0.0;
+    if (!parse_whole(cell, value) || !std::isfinite(value) || value < 0.0) {
+      fail(column, "'" + cell + "' is not a finite number >= 0");
+    }
+    return value;
+  }
+
+  net::FlowKind kind(const char* column) const {
+    const std::string& cell = text(column);
+    for (std::size_t i = 0; i < net::kNumFlowKinds; ++i) {
+      const auto kind = static_cast<net::FlowKind>(i);
+      if (cell == net::flow_kind_name(kind)) return kind;
+    }
+    fail(column, "unknown traffic class '" + cell + "'");
+  }
+
+  /// Node id from `id_column`, recording its name from `name_column` in
+  /// `names`; a second, different name for the same id is rejected.
+  net::NodeId node(const char* id_column, const char* name_column,
+                   std::vector<std::string>& names) const {
+    const auto id = static_cast<std::uint32_t>(integer(id_column, Trace::kMaxCsvNodes - 1));
+    const std::string& cell = text(name_column);
+    if (cell.empty()) fail(name_column, "empty node name");
+    if (id >= names.size()) names.resize(id + 1);
+    if (names[id].empty()) {
+      names[id] = cell;
+    } else if (names[id] != cell) {
+      fail(name_column, util::format("node %u is '%s' here but '%s' in an earlier row", id,
+                                     cell.c_str(), names[id].c_str()));
+    }
+    return net::NodeId(id);
+  }
+
+ private:
+  const std::string& text(const char* column) const { return table_.cell(row_, column); }
+
+  const util::CsvTable& table_;
+  const std::string& source_;
+  std::size_t row_ = 0;
+};
+
+}  // namespace
+
 util::CsvTable Trace::to_csv() const {
-  util::CsvTable table({"src", "dst", "src_id", "dst_id", "src_port", "dst_port", "bytes", "start",
-                        "end", "job_id", "truth"});
+  util::CsvTable table(std::vector<std::string>(std::begin(kColumns), std::end(kColumns)));
   for (const auto& r : records_) {
-    table.add_row({r.src, r.dst, std::to_string(r.src_id), std::to_string(r.dst_id),
-                   std::to_string(r.src_port), std::to_string(r.dst_port),
-                   util::format("%.3f", r.bytes), util::format("%.9f", r.start),
-                   util::format("%.9f", r.end), std::to_string(r.job_id),
-                   net::flow_kind_name(r.truth)});
+    table.add_row({name(r.src_id), name(r.dst_id), std::to_string(r.src_id),
+                   std::to_string(r.dst_id), std::to_string(r.src_port),
+                   std::to_string(r.dst_port), util::format("%.3f", r.bytes),
+                   util::format("%.9f", r.start), util::format("%.9f", r.end),
+                   std::to_string(r.job_id), net::flow_kind_name(r.truth)});
   }
   return table;
 }
 
-namespace {
-net::FlowKind kind_from_name(const std::string& name) {
-  for (std::size_t i = 0; i < net::kNumFlowKinds; ++i) {
-    const auto kind = static_cast<net::FlowKind>(i);
-    if (name == net::flow_kind_name(kind)) return kind;
-  }
-  return net::FlowKind::kOther;
-}
-}  // namespace
-
-Trace Trace::from_csv(const util::CsvTable& table) {
-  Trace out;
+Trace Trace::from_csv(const util::CsvTable& table, const std::string& source) {
+  RowReader row(table, source);
+  auto names = std::make_shared<std::vector<std::string>>();
+  Trace out(names);  // the table is complete before the trace is returned
   for (std::size_t i = 0; i < table.num_rows(); ++i) {
+    row.seek(i);
     FlowRecord r;
-    r.src = table.cell(i, "src");
-    r.dst = table.cell(i, "dst");
-    r.src_id = static_cast<net::NodeId>(table.cell_int(i, "src_id"));
-    r.dst_id = static_cast<net::NodeId>(table.cell_int(i, "dst_id"));
-    r.src_port = static_cast<std::uint16_t>(table.cell_int(i, "src_port"));
-    r.dst_port = static_cast<std::uint16_t>(table.cell_int(i, "dst_port"));
-    r.bytes = table.cell_double(i, "bytes");
-    r.start = table.cell_double(i, "start");
-    r.end = table.cell_double(i, "end");
-    r.job_id = static_cast<std::uint32_t>(table.cell_int(i, "job_id"));
-    r.truth = kind_from_name(table.cell(i, "truth"));
-    out.add(std::move(r));
+    r.src_id = row.node("src_id", "src", *names);
+    r.dst_id = row.node("dst_id", "dst", *names);
+    r.src_port = static_cast<std::uint16_t>(row.integer("src_port", 65535));
+    r.dst_port = static_cast<std::uint16_t>(row.integer("dst_port", 65535));
+    r.bytes = row.number("bytes");
+    r.start = row.number("start");
+    r.end = row.number("end");
+    if (r.end < r.start) {
+      row.fail("end", util::format("%.9f is before start %.9f", r.end, r.start));
+    }
+    r.job_id = static_cast<std::uint32_t>(row.integer("job_id", 0xffffffffu));
+    r.truth = row.kind("truth");
+    out.add(r);
   }
   return out;
 }
 
 void Trace::save(const std::string& path) const { to_csv().save(path); }
 
-Trace Trace::load(const std::string& path) { return from_csv(util::CsvTable::load(path)); }
+Trace Trace::load(const std::string& path) { return from_csv(util::CsvTable::load(path), path); }
 
 }  // namespace keddah::capture

@@ -1,9 +1,10 @@
-// A Trace is the unit the modelling stage consumes: the set of flow records
-// captured during one job run (or a concatenation of runs), with filtering
-// and aggregation helpers, and CSV persistence.
+// A Trace is the unit the modelling stage consumes: the flow records one
+// capture saw and the table naming their endpoints, with filtering and
+// aggregation helpers, and CSV persistence.
 #pragma once
 
 #include <array>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,19 +19,27 @@ struct ClassStats {
   double bytes = 0.0;
 };
 
-/// An ordered collection of captured flows.
+/// Node names indexed by NodeId, built once and then shared, unchanged, by
+/// a trace, the traces its filter_* calls return and a spill writer.
+using NameTable = std::shared_ptr<const std::vector<std::string>>;
+
+/// An ordered collection of captured flows plus the table naming their
+/// endpoints.
 class Trace {
  public:
   Trace() = default;
-  explicit Trace(std::vector<FlowRecord> records) : records_(std::move(records)) {}
+  explicit Trace(NameTable names) : names_(std::move(names)) {}
 
-  void add(FlowRecord record) { records_.push_back(std::move(record)); }
-  void append(const Trace& other);
+  void add(const FlowRecord& record) { records_.push_back(record); }
 
   std::size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }
   const std::vector<FlowRecord>& records() const { return records_; }
   const FlowRecord& operator[](std::size_t i) const { return records_.at(i); }
+
+  /// Name of node `id`; throws std::out_of_range when `id` is past the table.
+  const std::string& name(net::NodeId id) const;
+  const NameTable& names() const { return names_; }
 
   /// Subset with the given *classified* traffic class (port classifier).
   Trace filter_kind(net::FlowKind kind) const;
@@ -65,15 +74,26 @@ class Trace {
   /// smearing). Returns bytes per bin.
   std::vector<double> throughput_series(double bin_s) const;
 
-  /// CSV persistence (columns match FlowRecord fields).
+  /// CSV persistence (FlowRecord's fields plus the `src`/`dst` names).
   util::CsvTable to_csv() const;
-  static Trace from_csv(const util::CsvTable& table);
+  /// Rebuilds a trace and its name table from `src`/`src_id`/`dst`/`dst_id`.
+  /// Throws std::runtime_error "<source>: row N: <column>: <message>" (rows
+  /// count data rows from 1) on a malformed number, a negative or non-finite
+  /// bytes/start/end, end before start, a port, job_id or node id out of
+  /// range (ids stay below kMaxCsvNodes), an unknown truth class, an empty
+  /// name, or one id given two names.
+  static Trace from_csv(const util::CsvTable& table, const std::string& source = "csv");
   void save(const std::string& path) const;
   static Trace load(const std::string& path);
 
+  /// Node ids a CSV trace may use. The loaded name table is indexed by id,
+  /// so the bound keeps one stray id from sizing it in gigabytes; it is ~80x
+  /// the node count of the largest fabric the simulator builds.
+  static constexpr std::uint32_t kMaxCsvNodes = 1u << 20;
 
  private:
   std::vector<FlowRecord> records_;
+  NameTable names_;
 };
 
 }  // namespace keddah::capture

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "capture/collector.h"
 #include "capture/spill.h"
@@ -15,19 +16,47 @@
 namespace keddah::gen {
 
 namespace {
-/// Finalizes a spill-mode capture and fills the result's spill fields plus
-/// makespan, streamed off the mmap'd file rather than loaded into RAM.
-void finish_spill(capture::FlowCollector& collector, ReplayResult& result) {
-  collector.finalize_spill();
-  result.spilled_records = collector.spilled();
-  result.spill_path = collector.spill_path();
-  capture::SpillReader reader(result.spill_path);
-  double last_end = 0.0;
-  for (std::uint64_t i = 0; i < reader.size(); ++i) {
-    last_end = std::max(last_end, reader.record(i).end);
+/// The simulator, network and capture one replay runs on, plus the mapping
+/// from a schedule's host indices to the topology's hosts.
+struct ReplayRig {
+  ReplayRig(const net::Topology& topology, double loopback_bps, const std::string& spill_dir)
+      : network(sim, topology, net::NetworkOptions{.loopback = util::Rate::bps(loopback_bps)}),
+        collector(network, capture::CollectorOptions{.spill_dir = spill_dir}),
+        hosts(network.topology().hosts()) {}
+
+  /// Host index i is the i-th host (modulo host count); a flow whose two
+  /// indices land on one host goes to the next host instead.
+  std::pair<net::NodeId, net::NodeId> endpoints(const SyntheticFlow& f) const {
+    const net::NodeId src = hosts[f.src_host % hosts.size()];
+    net::NodeId dst = hosts[f.dst_host % hosts.size()];
+    if (dst == src) dst = hosts[(f.dst_host + 1) % hosts.size()];
+    return {src, dst};
   }
-  result.makespan = last_end;
-}
+
+  /// Runs the simulation and moves the capture into `result`: the trace, or
+  /// the finalized spill with its makespan streamed off the mmap'd file
+  /// rather than loaded into RAM.
+  void finish(ReplayResult& result) {
+    sim.run();
+    if (!collector.spilling()) {
+      result.trace = collector.take();
+      result.makespan = result.trace.empty() ? 0.0 : result.trace.last_end();
+      return;
+    }
+    collector.finalize_spill();
+    result.spilled_records = collector.spilled();
+    result.spill_path = collector.spill_path();
+    capture::SpillReader reader(result.spill_path);
+    for (std::uint64_t i = 0; i < reader.size(); ++i) {
+      result.makespan = std::max(result.makespan, reader.record(i).end);
+    }
+  }
+
+  sim::Simulator sim;
+  net::Network network;
+  capture::FlowCollector collector;
+  const std::vector<net::NodeId> hosts;
+};
 }  // namespace
 
 double ReplayResult::mean_fct() const { return stats::mean(flow_completion_times); }
@@ -68,15 +97,9 @@ net::FlowMeta meta_for_kind(net::FlowKind kind, std::uint32_t job_id) {
 
 ReplayResult replay_closed_loop(const SyntheticTrafficSchedule& schedule,
                                 const net::Topology& topology, ClosedLoopOptions options) {
-  sim::Simulator sim;
-  net::NetworkOptions net_options;
-  net_options.loopback = util::Rate::bps(options.loopback_bps);
-  net::Network network(sim, topology, net_options);
-  capture::CollectorOptions capture_options;
-  capture_options.spill_dir = options.spill_dir;
-  capture::FlowCollector collector(network, capture_options);
-
-  const auto hosts = network.topology().hosts();
+  ReplayRig rig(topology, options.loopback_bps, options.spill_dir);
+  auto& network = rig.network;
+  const auto& hosts = rig.hosts;
   ReplayResult result;
   if (hosts.empty()) return result;
 
@@ -89,10 +112,8 @@ ReplayResult replay_closed_loop(const SyntheticTrafficSchedule& schedule,
 
   // Launch one flow onto the fabric; shuffle completions pump the window.
   auto launch = std::make_shared<std::function<void(const SyntheticFlow&)>>();
-  *launch = [&network, &result, &hosts, windows, launch, options](const SyntheticFlow& f) {
-    const net::NodeId src = hosts[f.src_host % hosts.size()];
-    net::NodeId dst = hosts[f.dst_host % hosts.size()];
-    if (dst == src) dst = hosts[(f.dst_host + 1) % hosts.size()];
+  *launch = [&rig, &network, &result, &hosts, windows, launch, options](const SyntheticFlow& f) {
+    const auto [src, dst] = rig.endpoints(f);
     const bool gated = f.kind == net::FlowKind::kShuffle;
     const std::size_t window_key = f.dst_host % hosts.size();
     network.start_flow(src, dst, util::Bytes(f.bytes), meta_for_kind(f.kind),
@@ -112,7 +133,7 @@ ReplayResult replay_closed_loop(const SyntheticTrafficSchedule& schedule,
   };
 
   for (const auto& f : schedule.flows) {
-    sim.schedule_at(f.start, [launch, windows, f, options, &hosts] {
+    rig.sim.schedule_at(f.start, [launch, windows, f, options, &hosts] {
       if (f.kind != net::FlowKind::kShuffle) {
         (*launch)(f);
         return;
@@ -126,13 +147,7 @@ ReplayResult replay_closed_loop(const SyntheticTrafficSchedule& schedule,
       }
     });
   }
-  sim.run();
-  if (collector.spilling()) {
-    finish_spill(collector, result);
-  } else {
-    result.trace = collector.take();
-    result.makespan = result.trace.empty() ? 0.0 : result.trace.last_end();
-  }
+  rig.finish(result);
   // Break the launch lambda's self-reference so the shared state frees.
   *launch = nullptr;
   return result;
@@ -140,24 +155,13 @@ ReplayResult replay_closed_loop(const SyntheticTrafficSchedule& schedule,
 
 ReplayResult replay(const SyntheticTrafficSchedule& schedule, const net::Topology& topology,
                     double loopback_bps, const std::string& spill_dir) {
-  sim::Simulator sim;
-  net::NetworkOptions options;
-  options.loopback = util::Rate::bps(loopback_bps);
-  // The topology is borrowed per call; copy it into the engine.
-  net::Network network(sim, topology, options);
-  capture::CollectorOptions capture_options;
-  capture_options.spill_dir = spill_dir;
-  capture::FlowCollector collector(network, capture_options);
-
-  const auto hosts = network.topology().hosts();
+  ReplayRig rig(topology, loopback_bps, spill_dir);
   ReplayResult result;
-  if (hosts.empty()) return result;
+  if (rig.hosts.empty()) return result;
 
   for (const auto& f : schedule.flows) {
-    const net::NodeId src = hosts[f.src_host % hosts.size()];
-    net::NodeId dst = hosts[f.dst_host % hosts.size()];
-    if (dst == src) dst = hosts[(f.dst_host + 1) % hosts.size()];
-    sim.schedule_at(f.start, [&network, &result, src, dst, f] {
+    const auto [src, dst] = rig.endpoints(f);
+    rig.sim.schedule_at(f.start, [&network = rig.network, &result, src, dst, f] {
       network.start_flow(src, dst, util::Bytes(f.bytes), meta_for_kind(f.kind),
                          [&result](const net::Flow& flow) {
                            result.flow_completion_times.push_back(flow.end_time -
@@ -165,13 +169,7 @@ ReplayResult replay(const SyntheticTrafficSchedule& schedule, const net::Topolog
                          });
     });
   }
-  sim.run();
-  if (collector.spilling()) {
-    finish_spill(collector, result);
-  } else {
-    result.trace = collector.take();
-    result.makespan = result.trace.empty() ? 0.0 : result.trace.last_end();
-  }
+  rig.finish(result);
   return result;
 }
 

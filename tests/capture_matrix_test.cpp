@@ -14,8 +14,6 @@ kc::FlowRecord rec(std::size_t src, std::size_t dst, double bytes,
   kc::FlowRecord r;
   r.src_id = static_cast<kn::NodeId>(src);
   r.dst_id = static_cast<kn::NodeId>(dst);
-  r.src = "h" + std::to_string(src);
-  r.dst = "h" + std::to_string(dst);
   r.bytes = bytes;
   r.src_port = src_port;
   r.dst_port = dst_port;

@@ -1,8 +1,15 @@
 // Unit tests for the capture library: port classification, trace filtering
-// and aggregation, CSV round-trips, throughput series, collector options.
+// and aggregation, CSV round-trips and rejections, throughput series,
+// collector options and the shared name table.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "capture/collector.h"
 #include "capture/trace.h"
@@ -18,8 +25,6 @@ namespace {
 kc::FlowRecord make_record(std::uint16_t src_port, std::uint16_t dst_port, double bytes = 1000.0,
                            double start = 0.0, double end = 1.0, std::uint32_t job = 1) {
   kc::FlowRecord r;
-  r.src = "h0";
-  r.dst = "h1";
   r.src_id = kn::NodeId(0);
   r.dst_id = kn::NodeId(1);
   r.src_port = src_port;
@@ -29,6 +34,32 @@ kc::FlowRecord make_record(std::uint16_t src_port, std::uint16_t dst_port, doubl
   r.end = end;
   r.job_id = job;
   return r;
+}
+
+/// An empty trace naming node 0 "h0" and node 1 "h1".
+kc::Trace named_trace() {
+  return kc::Trace(
+      std::make_shared<const std::vector<std::string>>(std::vector<std::string>{"h0", "h1"}));
+}
+
+/// A 3-flow capture on a 2x2 rack tree, taken through the collector.
+kc::Trace captured_trace() {
+  ks::Simulator sim;
+  kn::Network net(sim, kn::make_rack_tree(2, 2, 1e9, 10e9, 1e-4));
+  kc::FlowCollector collector(net);
+  const auto hosts = net.topology().hosts();
+  kn::FlowMeta meta;
+  meta.src_port = kn::ports::kShuffle;
+  meta.dst_port = 45000;
+  meta.kind = kn::FlowKind::kShuffle;
+  net.start_flow(hosts[0], hosts[3], ku::Bytes(5000.0), meta, nullptr);
+  meta.src_port = kn::ports::kDataNodeXfer;
+  meta.kind = kn::FlowKind::kHdfsRead;
+  net.start_flow(hosts[2], hosts[1], ku::Bytes(1.0 / 3.0), meta, nullptr);
+  meta.job_id = 7;
+  net.start_flow(hosts[1], hosts[2], ku::Bytes(123456789.0), meta, nullptr);
+  sim.run();
+  return collector.take();
 }
 
 }  // namespace
@@ -134,14 +165,15 @@ TEST(Trace, ThroughputSeriesHandlesInstantFlows) {
 }
 
 TEST(Trace, CsvRoundTrip) {
-  kc::Trace trace;
+  kc::Trace trace = named_trace();
   auto r = make_record(kn::ports::kShuffle, 40000, 12345.5, 1.25, 6.5, 42);
   r.truth = kn::FlowKind::kShuffle;
   trace.add(r);
   const auto csv = trace.to_csv();
   const auto restored = kc::Trace::from_csv(csv);
   ASSERT_EQ(restored.size(), 1u);
-  EXPECT_EQ(restored[0].src, "h0");
+  EXPECT_EQ(restored.name(restored[0].src_id), "h0");
+  EXPECT_EQ(restored.name(restored[0].dst_id), "h1");
   EXPECT_EQ(restored[0].src_port, kn::ports::kShuffle);
   EXPECT_NEAR(restored[0].bytes, 12345.5, 0.01);
   EXPECT_NEAR(restored[0].start, 1.25, 1e-9);
@@ -150,7 +182,7 @@ TEST(Trace, CsvRoundTrip) {
 }
 
 TEST(Trace, SaveLoadFile) {
-  kc::Trace trace;
+  kc::Trace trace = named_trace();
   trace.add(make_record(1, 2, 10, 0, 1));
   const std::string path = ::testing::TempDir() + "/keddah_trace_test.csv";
   trace.save(path);
@@ -159,15 +191,79 @@ TEST(Trace, SaveLoadFile) {
   std::remove(path.c_str());
 }
 
-TEST(Trace, AppendConcatenates) {
-  kc::Trace a;
-  a.add(make_record(1, 2, 10));
-  kc::Trace b;
-  b.add(make_record(1, 2, 20));
-  b.add(make_record(1, 2, 30));
-  a.append(b);
-  EXPECT_EQ(a.size(), 3u);
-  EXPECT_DOUBLE_EQ(a.total_bytes(), 60.0);
+// A collector-captured trace survives save -> load: the same records (CSV
+// rounds bytes to 3 and times to 9 decimals) and the same name for every id
+// that occurs, though the loaded table covers only those ids.
+TEST(Trace, CapturedTraceSaveLoadKeepsRecordsAndNames) {
+  const kc::Trace trace = captured_trace();
+  ASSERT_EQ(trace.size(), 3u);
+  const std::string path = ::testing::TempDir() + "/keddah_captured_trace.csv";
+  trace.save(path);
+  const kc::Trace loaded = kc::Trace::load(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(loaded.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    const auto& a = trace[i];
+    const auto& b = loaded[i];
+    EXPECT_EQ(b.src_id, a.src_id);
+    EXPECT_EQ(b.dst_id, a.dst_id);
+    EXPECT_EQ(b.src_port, a.src_port);
+    EXPECT_EQ(b.dst_port, a.dst_port);
+    EXPECT_NEAR(b.bytes, a.bytes, 5e-4);
+    EXPECT_NEAR(b.start, a.start, 5e-10);
+    EXPECT_NEAR(b.end, a.end, 5e-10);
+    EXPECT_EQ(b.job_id, a.job_id);
+    EXPECT_EQ(b.truth, a.truth);
+    EXPECT_EQ(loaded.name(b.src_id), trace.name(a.src_id));
+    EXPECT_EQ(loaded.name(b.dst_id), trace.name(a.dst_id));
+  }
+  // Saving the loaded trace writes the same bytes: nothing in the CSV
+  // depends on how many nodes the name table lists.
+  std::ostringstream first;
+  std::ostringstream second;
+  trace.to_csv().write(first);
+  loaded.to_csv().write(second);
+  EXPECT_EQ(second.str(), first.str());
+}
+
+TEST(Trace, FilteredTracesShareTheParentTable) {
+  const kc::Trace trace = captured_trace();
+  const kc::Trace shuffle = trace.filter_kind(kn::FlowKind::kShuffle);
+  const kc::Trace job = trace.filter_job(7);
+  ASSERT_EQ(shuffle.size(), 1u);
+  ASSERT_EQ(job.size(), 1u);
+  EXPECT_EQ(shuffle.names(), trace.names());
+  EXPECT_EQ(job.names(), trace.names());
+  EXPECT_EQ(trace.filter_window(0.0, 1e9).names(), trace.names());
+}
+
+TEST(Trace, NameOfAnIdPastTheTableThrows) {
+  EXPECT_THROW((void)kc::Trace().name(kn::NodeId(0)), std::out_of_range);
+  EXPECT_THROW((void)named_trace().name(kn::NodeId(2)), std::out_of_range);
+}
+
+// Each fixture carries one defect and a "# expect: <locus>: <message>"
+// first line; load() must reject it with exactly "<path>: " + that text.
+TEST(Trace, CsvLoaderRejectsEachFixtureNamingRowAndColumn) {
+  std::size_t checked = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(KEDDAH_TRACE_FIXTURES)) {
+    const std::string path = entry.path().string();
+    SCOPED_TRACE(path);
+    std::ifstream in(path);
+    std::string first;
+    std::getline(in, first);
+    const std::string prefix = "# expect: ";
+    ASSERT_EQ(first.rfind(prefix, 0), 0u);
+    try {
+      (void)kc::Trace::load(path);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), path + ": " + first.substr(prefix.size()));
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 15u);
 }
 
 TEST(Collector, RecordsNetworkFlowsWithMetadata) {
@@ -184,8 +280,9 @@ TEST(Collector, RecordsNetworkFlowsWithMetadata) {
   sim.run();
   const auto& trace = collector.trace();
   ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace[0].src, "h0");
-  EXPECT_EQ(trace[0].dst, "h1");
+  EXPECT_EQ(trace[0].src_id, topo.find("h0"));
+  EXPECT_EQ(trace.name(trace[0].src_id), "h0");
+  EXPECT_EQ(trace.name(trace[0].dst_id), "h1");
   EXPECT_EQ(trace[0].job_id, 5u);
   EXPECT_DOUBLE_EQ(trace[0].bytes, 5000.0);
   EXPECT_GT(trace[0].end, trace[0].start);

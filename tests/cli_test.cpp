@@ -300,6 +300,21 @@ TEST(Cli, AnalyzeCharacterizesTrace) {
   std::filesystem::remove(run_base + "_0.meta.json");
 }
 
+// analyze exits 1 on every malformed-trace fixture, printing the loader's
+// "path: row N: column: message" instead of fitting garbage.
+TEST(Cli, AnalyzeRejectsMalformedTraceFixtures) {
+  for (const auto& entry : std::filesystem::directory_iterator(KEDDAH_TRACE_FIXTURES)) {
+    const std::string path = entry.path().string();
+    std::ifstream in(path);
+    std::string first;
+    std::getline(in, first);
+    const auto result = run_cli({"analyze", "--trace", path});
+    EXPECT_EQ(result.code, 1) << path;
+    EXPECT_EQ(result.err, "error: " + path + ": " + first.substr(first.find(": ") + 2) + "\n");
+    EXPECT_EQ(result.out, "") << path;
+  }
+}
+
 TEST(Cli, CalibrateEstimatesSelectivities) {
   const std::string run_base = temp_path("cli_cal_run");
   auto result = run_cli({"capture", "--job", "sort", "--input", "512MB", "--out", run_base,

@@ -120,9 +120,9 @@ TEST(RunInterchange, SaveLoadRoundTrip) {
   run.num_reducers = 4;
   run.job_start = 1.5;
   run.job_end = 42.0;
+  run.trace = keddah::capture::Trace(
+      std::make_shared<const std::vector<std::string>>(std::vector<std::string>{"h0", "h1"}));
   keddah::capture::FlowRecord r;
-  r.src = "h0";
-  r.dst = "h1";
   r.src_id = kn::NodeId(0);
   r.dst_id = kn::NodeId(1);
   r.src_port = kn::ports::kShuffle;
@@ -140,7 +140,7 @@ TEST(RunInterchange, SaveLoadRoundTrip) {
   EXPECT_DOUBLE_EQ(loaded.job_start, 1.5);
   EXPECT_DOUBLE_EQ(loaded.job_end, 42.0);
   ASSERT_EQ(loaded.trace.size(), 1u);
-  EXPECT_EQ(loaded.trace[0].src, "h0");
+  EXPECT_EQ(loaded.trace.name(loaded.trace[0].src_id), "h0");
   std::filesystem::remove(base + ".csv");
   std::filesystem::remove(base + ".meta.json");
 }

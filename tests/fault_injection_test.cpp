@@ -75,7 +75,7 @@ TEST(TransientOutage, ShuffleRecoversThroughFetchRetries) {
   for (const auto& r : cluster.trace().records()) {
     if (r.src_id != victim) continue;
     EXPECT_TRUE(r.end <= down_at + 1e-9 || r.start >= up_at - 1e-9)
-        << r.src << " -> " << r.dst << " [" << r.start << ", " << r.end << "]";
+        << r.src_id << " -> " << r.dst_id << " [" << r.start << ", " << r.end << "]";
   }
   // The node rejoined: the scheduler's capacity is back to full.
   EXPECT_TRUE(cluster.scheduler().node_up(victim));

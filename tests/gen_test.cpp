@@ -205,7 +205,7 @@ TEST(Replay, HostIndicesWrapAroundTopology) {
   schedule.flows.push_back({10, 11, kn::FlowKind::kShuffle, 1000.0, 0.0});
   const auto result = kg::replay(schedule, kn::make_star(3, 1e9, 0.0));
   EXPECT_EQ(result.trace.size(), 1u);
-  EXPECT_NE(result.trace[0].src, result.trace[0].dst);
+  EXPECT_NE(result.trace[0].src_id, result.trace[0].dst_id);
 }
 
 TEST(Replay, EmptyScheduleYieldsEmptyResult) {

@@ -35,7 +35,7 @@ void render_trace(const keddah::capture::Trace& trace, std::ostringstream& out) 
     const auto& r = trace[i];
     out << ku::format(
         R"({"src":"%s","dst":"%s","sport":%u,"dport":%u,"bytes":%.17g,"start":%.17g,"end":%.17g,"job":%u})",
-        r.src.c_str(), r.dst.c_str(), static_cast<unsigned>(r.src_port),
+        trace.name(r.src_id).c_str(), trace.name(r.dst_id).c_str(), static_cast<unsigned>(r.src_port),
         static_cast<unsigned>(r.dst_port), r.bytes, r.start, r.end, r.job_id);
     out << "\n";
   }

@@ -180,7 +180,7 @@ TEST(NodeFailure, JobSurvivesMidMapFailure) {
   // pinned to the failure), and nothing new starts against the node.
   for (const auto& r : cluster.trace().records()) {
     if (r.src_id == victim || r.dst_id == victim) {
-      EXPECT_LE(r.end, 3.0 + 1e-9) << r.src << " -> " << r.dst;
+      EXPECT_LE(r.end, 3.0 + 1e-9) << r.src_id << " -> " << r.dst_id;
     }
   }
   EXPECT_GT(cluster.network().aborted_flows(), 0u);

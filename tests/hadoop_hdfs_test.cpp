@@ -228,7 +228,8 @@ TEST(Hdfs, RemoteReadPrefersRackLocalReplica) {
   h.sim.run();
   for (const auto& r : h.collector->trace().records()) {
     EXPECT_TRUE(topo.same_rack(r.src_id, r.dst_id))
-        << r.src << " -> " << r.dst << " should be rack-local";
+        << topo.node(r.src_id).name << " -> " << topo.node(r.dst_id).name
+        << " should be rack-local";
   }
 }
 

@@ -112,7 +112,8 @@ TEST(JobRunner, ClassifierAgreesWithGroundTruth) {
   ASSERT_GT(trace.size(), 0u);
   for (const auto& r : trace.records()) {
     EXPECT_EQ(kc::classify_by_ports(r), r.truth)
-        << r.src << ":" << r.src_port << " -> " << r.dst << ":" << r.dst_port;
+        << trace.name(r.src_id) << ":" << r.src_port << " -> " << trace.name(r.dst_id) << ":"
+        << r.dst_port;
   }
 }
 
@@ -224,8 +225,8 @@ TEST(JobRunner, DeterministicAcrossIdenticalRuns) {
   const auto b = run();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].src, b[i].src);
-    EXPECT_EQ(a[i].dst, b[i].dst);
+    EXPECT_EQ(a[i].src_id, b[i].src_id);
+    EXPECT_EQ(a[i].dst_id, b[i].dst_id);
     EXPECT_DOUBLE_EQ(a[i].bytes, b[i].bytes);
     EXPECT_DOUBLE_EQ(a[i].start, b[i].start);
     EXPECT_DOUBLE_EQ(a[i].end, b[i].end);

@@ -17,8 +17,6 @@ namespace {
 
 kc::FlowRecord flow(kn::FlowKind kind, double bytes, double start, double end) {
   kc::FlowRecord r;
-  r.src = "h0";
-  r.dst = "h1";
   r.bytes = bytes;
   r.start = start;
   r.end = end;

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,8 +41,7 @@ std::string scratch(const std::string& name) {
   return (dir / name).string();
 }
 
-/// A record between node ids `src` and `dst`; the writer names endpoints
-/// from its own table, so the record's name strings stay empty.
+/// A record between node ids `src` and `dst`; the writer's table names them.
 kc::FlowRecord record(std::uint32_t src, std::uint32_t dst, double bytes, double start,
                       double end, std::uint32_t job = 7) {
   kc::FlowRecord r;
@@ -57,11 +57,15 @@ kc::FlowRecord record(std::uint32_t src, std::uint32_t dst, double bytes, double
   return r;
 }
 
+kc::NameTable table(std::vector<std::string> names) {
+  return std::make_shared<const std::vector<std::string>>(std::move(names));
+}
+
 /// "h0" .. "h<n-1>": the name table of an n-node topology.
-std::vector<std::string> host_names(std::size_t n) {
+kc::NameTable host_names(std::size_t n) {
   std::vector<std::string> names;
   for (std::size_t i = 0; i < n; ++i) names.push_back("h" + std::to_string(i));
-  return names;
+  return table(std::move(names));
 }
 
 /// Patches `n` raw bytes at `offset` in a finalized spill file.
@@ -136,7 +140,7 @@ TEST(SpillRoundTrip, BitExactIncludingAwkwardDoubles) {
   written.push_back(record(0, 3, 1.75e9, 1234.56789012345,
                            std::numeric_limits<double>::max() / 1e10));
   {
-    kc::SpillWriter writer(path, names, 128);
+    kc::SpillWriter writer(path, table(names), 128);
     for (const auto& r : written) writer.add(r);
     // An endpoint past the name table is refused, and nothing is appended.
     EXPECT_THROW(writer.add(record(0, 4, 1.0, 0.0, 1.0)), std::out_of_range);
@@ -147,8 +151,6 @@ TEST(SpillRoundTrip, BitExactIncludingAwkwardDoubles) {
   for (std::size_t i = 0; i < written.size(); ++i) {
     SCOPED_TRACE("record " + std::to_string(i));
     const auto got = reader.record(i);
-    EXPECT_EQ(got.src, names[written[i].src_id]);
-    EXPECT_EQ(got.dst, names[written[i].dst_id]);
     EXPECT_EQ(got.src_id, written[i].src_id);
     EXPECT_EQ(got.dst_id, written[i].dst_id);
     EXPECT_EQ(got.src_port, written[i].src_port);
@@ -174,7 +176,8 @@ TEST(SpillRoundTrip, ToTraceMatchesRecordOrder) {
   for (std::size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(trace[i].start, reader.record(i).start);
     EXPECT_EQ(trace[i].bytes, reader.record(i).bytes);
-    EXPECT_EQ(trace[i].src, reader.record(i).src);
+    EXPECT_EQ(trace[i].src_id, reader.record(i).src_id);
+    EXPECT_EQ(trace.name(trace[i].src_id), reader.names()[reader.record(i).src_id]);
   }
   fs::remove(path);
 }
@@ -183,7 +186,7 @@ TEST(SpillRoundTrip, WriterDestructorFinalizes) {
   const std::string path = scratch("dtor.kspill");
   fs::remove(path);
   {
-    kc::SpillWriter writer(path, {"a", "b"}, 128);
+    kc::SpillWriter writer(path, table({"a", "b"}), 128);
     writer.add(record(0, 1, 1.0, 0.0, 1.0));
   }  // no explicit finalize()
   kc::SpillReader reader(path);
@@ -215,16 +218,14 @@ TEST(SpillRoundTrip, SpillIsSmallerThanCsv) {
   const std::string spill_path = scratch("size.kspill");
   const std::string csv_path = scratch("size.csv");
   fs::remove(spill_path);
-  const std::vector<std::string> names = host_names(2);
-  kc::Trace trace;
+  const kc::NameTable names = host_names(2);
+  kc::Trace trace(names);
   {
     kc::SpillWriter writer(spill_path, names);
     for (int i = 0; i < 2000; ++i) {
-      kc::FlowRecord r = record(0, 1, 1234567.0 + i, i * 0.001, i * 0.001 + 0.5);
+      const kc::FlowRecord r = record(0, 1, 1234567.0 + i, i * 0.001, i * 0.001 + 0.5);
       writer.add(r);
-      r.src = names[0];
-      r.dst = names[1];
-      trace.add(std::move(r));
+      trace.add(r);
     }
   }
   trace.save(csv_path);
@@ -407,7 +408,7 @@ TEST(SpillErrors, NodeIdPastTheNameTableNamesTheRecordOffset) {
         kc::kSpillHeaderBytes + 2 * sizeof(kc::SpillRecord) + offsetof(kc::SpillRecord, dst_id),
         &past_dst, sizeof past_dst);
   kc::SpillReader reader(path);  // header and name table are intact
-  EXPECT_EQ(reader.record(0).src, "h0");
+  EXPECT_EQ(reader.names()[reader.record(0).src_id], "h0");
   const auto reject = [&reader](std::uint64_t i) {
     try {
       (void)reader.record(i);
@@ -435,8 +436,8 @@ TEST(SpillCollector, CollectorRoundTripKeepsEveryField) {
   ASSERT_EQ(spilled.size(), in_memory.size());
   for (std::size_t i = 0; i < spilled.size(); ++i) {
     SCOPED_TRACE("record " + std::to_string(i));
-    EXPECT_EQ(spilled[i].src, in_memory[i].src);
-    EXPECT_EQ(spilled[i].dst, in_memory[i].dst);
+    EXPECT_EQ(spilled.name(spilled[i].src_id), in_memory.name(in_memory[i].src_id));
+    EXPECT_EQ(spilled.name(spilled[i].dst_id), in_memory.name(in_memory[i].dst_id));
     EXPECT_EQ(spilled[i].src_id, in_memory[i].src_id);
     EXPECT_EQ(spilled[i].dst_id, in_memory[i].dst_id);
     EXPECT_EQ(spilled[i].src_port, in_memory[i].src_port);
@@ -507,8 +508,10 @@ TEST(SpillCollector, SpilledCaptureReplaysIdenticallyToInMemory) {
   ASSERT_EQ(from_spill.size(), in_memory.trace.size());
   for (std::size_t i = 0; i < from_spill.size(); ++i) {
     SCOPED_TRACE("record " + std::to_string(i));
-    EXPECT_EQ(from_spill[i].src, in_memory.trace[i].src);
-    EXPECT_EQ(from_spill[i].dst, in_memory.trace[i].dst);
+    EXPECT_EQ(from_spill.name(from_spill[i].src_id),
+              in_memory.trace.name(in_memory.trace[i].src_id));
+    EXPECT_EQ(from_spill.name(from_spill[i].dst_id),
+              in_memory.trace.name(in_memory.trace[i].dst_id));
     EXPECT_EQ(from_spill[i].src_id, in_memory.trace[i].src_id);
     EXPECT_EQ(from_spill[i].dst_id, in_memory.trace[i].dst_id);
     EXPECT_EQ(from_spill[i].src_port, in_memory.trace[i].src_port);

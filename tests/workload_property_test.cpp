@@ -79,8 +79,8 @@ TEST_P(WorkloadProperty, ClassifierMatchesGroundTruthEverywhere) {
   const auto outcome = run();
   for (const auto& r : outcome.trace.records()) {
     EXPECT_EQ(keddah::capture::classify_by_ports(r), r.truth)
-        << kw::workload_name(GetParam()) << " " << r.src << ":" << r.src_port << " -> "
-        << r.dst << ":" << r.dst_port;
+        << kw::workload_name(GetParam()) << " " << outcome.trace.name(r.src_id) << ":"
+        << r.src_port << " -> " << outcome.trace.name(r.dst_id) << ":" << r.dst_port;
   }
 }
 
