@@ -62,7 +62,8 @@ int main() {
       pseudo.job_start = 0.0;
       pseudo.job_end = model.predict_duration(pseudo.input_bytes);
       const double predicted_count = static_cast<double>(
-          model.class_model(kind).count.predict(model::class_regressor(kind, pseudo)));
+          model.class_model(kind).count.predict(model::class_regressor(kind, pseudo),
+                                                net::flow_kind_name(kind)));
       row(std::string(net::flow_kind_name(kind)) + " flows",
           static_cast<double>(measured.size()), predicted_count, false);
     }

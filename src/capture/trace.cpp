@@ -143,88 +143,30 @@ namespace {
 constexpr const char* kColumns[] = {"src",   "dst",   "src_id", "dst_id", "src_port", "dst_port",
                                     "bytes", "start", "end",    "job_id", "truth"};
 
-/// Parses all of `cell` as a T: false on junk, trailing junk or overflow.
-template <typename T>
-bool parse_whole(const std::string& cell, T& value) {
-  const auto [end, ec] = std::from_chars(cell.data(), cell.data() + cell.size(), value);
-  return ec == std::errc() && end == cell.data() + cell.size();
+/// The traffic class named in `column`.
+net::FlowKind read_kind(const util::CsvRowReader& row, const char* column) {
+  const std::string& cell = row.text(column);
+  const auto kind = net::flow_kind_from_name(cell);
+  if (!kind) row.fail(column, "unknown traffic class '" + cell + "'");
+  return *kind;
 }
 
-/// Reads one trace CSV row at a time; every rejection names the row and the
-/// column.
-class RowReader {
- public:
-  RowReader(const util::CsvTable& table, const std::string& source)
-      : table_(table), source_(source) {
-    for (const char* column : kColumns) {
-      if (!table.has_column(column)) {
-        throw std::runtime_error(
-            util::format_diagnostic(source, "header", util::format("no '%s' column", column), ""));
-      }
-    }
+/// Node id from `id_column`, recording its name from `name_column` in
+/// `names`; a second, different name for the same id is rejected.
+net::NodeId read_node(const util::CsvRowReader& row, const char* id_column,
+                      const char* name_column, std::vector<std::string>& names) {
+  const auto id = static_cast<std::uint32_t>(row.integer(id_column, Trace::kMaxCsvNodes - 1));
+  const std::string& cell = row.text(name_column);
+  if (cell.empty()) row.fail(name_column, "empty node name");
+  if (id >= names.size()) names.resize(id + 1);
+  if (names[id].empty()) {
+    names[id] = cell;
+  } else if (names[id] != cell) {
+    row.fail(name_column, util::format("node %u is '%s' here but '%s' in an earlier row", id,
+                                       cell.c_str(), names[id].c_str()));
   }
-
-  void seek(std::size_t row) { row_ = row; }
-
-  [[noreturn]] void fail(const char* column, const std::string& message) const {
-    throw std::runtime_error(util::format_diagnostic(
-        source_, util::format("row %zu: %s", row_ + 1, column), message, ""));
-  }
-
-  /// A whole decimal integer in 0..max.
-  std::uint64_t integer(const char* column, std::uint64_t max) const {
-    const std::string& cell = text(column);
-    std::uint64_t value = 0;
-    if (!parse_whole(cell, value) || value > max) {
-      fail(column, util::format("'%s' is not an integer in 0..%llu", cell.c_str(),
-                                static_cast<unsigned long long>(max)));
-    }
-    return value;
-  }
-
-  /// A finite number >= 0.
-  double number(const char* column) const {
-    const std::string& cell = text(column);
-    double value = 0.0;
-    if (!parse_whole(cell, value) || !std::isfinite(value) || value < 0.0) {
-      fail(column, "'" + cell + "' is not a finite number >= 0");
-    }
-    return value;
-  }
-
-  net::FlowKind kind(const char* column) const {
-    const std::string& cell = text(column);
-    for (std::size_t i = 0; i < net::kNumFlowKinds; ++i) {
-      const auto kind = static_cast<net::FlowKind>(i);
-      if (cell == net::flow_kind_name(kind)) return kind;
-    }
-    fail(column, "unknown traffic class '" + cell + "'");
-  }
-
-  /// Node id from `id_column`, recording its name from `name_column` in
-  /// `names`; a second, different name for the same id is rejected.
-  net::NodeId node(const char* id_column, const char* name_column,
-                   std::vector<std::string>& names) const {
-    const auto id = static_cast<std::uint32_t>(integer(id_column, Trace::kMaxCsvNodes - 1));
-    const std::string& cell = text(name_column);
-    if (cell.empty()) fail(name_column, "empty node name");
-    if (id >= names.size()) names.resize(id + 1);
-    if (names[id].empty()) {
-      names[id] = cell;
-    } else if (names[id] != cell) {
-      fail(name_column, util::format("node %u is '%s' here but '%s' in an earlier row", id,
-                                     cell.c_str(), names[id].c_str()));
-    }
-    return net::NodeId(id);
-  }
-
- private:
-  const std::string& text(const char* column) const { return table_.cell(row_, column); }
-
-  const util::CsvTable& table_;
-  const std::string& source_;
-  std::size_t row_ = 0;
-};
+  return net::NodeId(id);
+}
 
 }  // namespace
 
@@ -241,14 +183,14 @@ util::CsvTable Trace::to_csv() const {
 }
 
 Trace Trace::from_csv(const util::CsvTable& table, const std::string& source) {
-  RowReader row(table, source);
+  util::CsvRowReader row(table, source, kColumns);
   auto names = std::make_shared<std::vector<std::string>>();
   Trace out(names);  // the table is complete before the trace is returned
   for (std::size_t i = 0; i < table.num_rows(); ++i) {
     row.seek(i);
     FlowRecord r;
-    r.src_id = row.node("src_id", "src", *names);
-    r.dst_id = row.node("dst_id", "dst", *names);
+    r.src_id = read_node(row, "src_id", "src", *names);
+    r.dst_id = read_node(row, "dst_id", "dst", *names);
     r.src_port = static_cast<std::uint16_t>(row.integer("src_port", 65535));
     r.dst_port = static_cast<std::uint16_t>(row.integer("dst_port", 65535));
     r.bytes = row.number("bytes");
@@ -258,7 +200,7 @@ Trace Trace::from_csv(const util::CsvTable& table, const std::string& source) {
       row.fail("end", util::format("%.9f is before start %.9f", r.end, r.start));
     }
     r.job_id = static_cast<std::uint32_t>(row.integer("job_id", 0xffffffffu));
-    r.truth = row.kind("truth");
+    r.truth = read_kind(row, "truth");
     out.add(r);
   }
   return out;

@@ -199,7 +199,7 @@ gen::SyntheticTrafficSchedule load_schedule(const std::string& path) {
   if (!file) throw std::runtime_error("cannot open " + path);
   std::ostringstream buffer;
   buffer << file.rdbuf();
-  return gen::schedule_from_csv(buffer.str());
+  return gen::schedule_from_csv(buffer.str(), path);
 }
 
 int cmd_replay(const util::Args& args, std::ostream& out, std::ostream& err) {

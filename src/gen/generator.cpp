@@ -66,7 +66,7 @@ SyntheticTrafficSchedule TrafficGenerator::generate(const Scenario& raw) {
     const auto& cm = model_.class_model(kind);
     if (cm.training_flows == 0) continue;
     const double x = model::class_regressor(kind, regressor_inputs);
-    const std::size_t count = cm.count.predict(x);
+    const std::size_t count = cm.count.predict(x, net::flow_kind_name(kind));
     if (count == 0) continue;
 
     std::vector<SyntheticFlow> class_flows;

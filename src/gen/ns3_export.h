@@ -24,9 +24,13 @@ struct Ns3ExportOptions {
 std::string schedule_to_csv(const SyntheticTrafficSchedule& schedule);
 
 /// Parses the CSV format written by schedule_to_csv (the CLI round-trips
-/// generated schedules through disk). Throws std::runtime_error on
-/// malformed input.
-SyntheticTrafficSchedule schedule_from_csv(const std::string& text);
+/// generated schedules through disk; the port column is not read). Throws
+/// std::runtime_error naming `source: row N: column` (data rows count from
+/// 1) on a missing column, a start or bytes that is not a finite number
+/// >= 0, a host that is not a whole integer in 0..2^32-1, or an unknown
+/// traffic class.
+SyntheticTrafficSchedule schedule_from_csv(const std::string& text,
+                                           const std::string& source = "schedule");
 
 /// Renders a complete ns-3 program (C++) that loads the CSV schedule and
 /// replays it over a star topology with per-class TCP sinks.

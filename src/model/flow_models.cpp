@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/json_reader.h"
 #include "util/strings.h"
@@ -113,9 +114,18 @@ SizeModel SizeModel::from_json(const util::Json& doc, util::Diagnostics& diagnos
   return m;
 }
 
-std::size_t CountModel::predict(double x) const {
+std::size_t CountModel::predict(double x, std::string_view traffic_class) const {
   const double y = fit.predict(x);
-  return y <= 0.0 ? 0 : static_cast<std::size_t>(std::llround(y));
+  if (y <= 0.0) return 0;
+  // Checked before the cast: llround of a huge value is undefined, and a
+  // size_t cast of it reads as billions of billions of flows.
+  if (!(y <= kMaxFlows)) {
+    throw std::overflow_error(util::format(
+        "count model: %.*s at %s = %g predicts %g flows, outside 0..%g",
+        static_cast<int>(traffic_class.size()), traffic_class.data(), regressor.c_str(), x, y,
+        kMaxFlows));
+  }
+  return static_cast<std::size_t>(std::llround(y));
 }
 
 util::Json CountModel::to_json() const {

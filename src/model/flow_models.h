@@ -8,6 +8,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "stats/distributions.h"
@@ -64,8 +65,15 @@ struct CountModel {
   /// Human-readable regressor description (for reports).
   std::string regressor = "x";
 
-  /// Expected flow count at regressor value x (>= 0, rounded).
-  std::size_t predict(double x) const;
+  /// Most flows one class of one job may be predicted to have. A larger
+  /// prediction comes from a broken fit, not a job: at this count the
+  /// generated schedule alone is tens of gigabytes.
+  static constexpr double kMaxFlows = 1e9;
+
+  /// Expected flow count at regressor value x (>= 0, rounded). Throws
+  /// std::overflow_error naming `traffic_class` and x when the prediction
+  /// is above kMaxFlows or not a number.
+  std::size_t predict(double x, std::string_view traffic_class) const;
 
   util::Json to_json() const;
   /// Reads {fit, regressor} at key path `path`; `fit` is required.

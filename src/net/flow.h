@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <string_view>
 
 #include "net/topology.h"
 #include "sim/simulator.h"
@@ -39,6 +41,9 @@ enum class FlowKind : std::uint8_t {
 
 /// Human-readable class name ("hdfs_read", ...).
 const char* flow_kind_name(FlowKind kind);
+
+/// The class whose flow_kind_name() is `name`; nullopt for any other text.
+std::optional<FlowKind> flow_kind_from_name(std::string_view name);
 
 /// Number of FlowKind values (for array sizing).
 inline constexpr std::size_t kNumFlowKinds = 5;

@@ -19,16 +19,6 @@ namespace {
 constexpr double kDrainEpsilonBits = 1e-2;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Dense-solve cutover: a solve whose component holds at least
-/// 1/kDenseDivisor of the live flows reads its canonical id order off the
-/// id-ordered active list instead of sorting. That list holds at most two
-/// entries per live flow, so at the cutover the filter reads at most four
-/// entries per component flow, against log2(n) comparisons each for the
-/// sort. Both sources yield the same order. Reference solves span every
-/// live flow and always filter, while incremental solves of small
-/// components sort, so the differential tests compare the two.
-constexpr std::size_t kDenseDivisor = 2;
 }  // namespace
 
 const char* flow_kind_name(FlowKind kind) {
@@ -47,6 +37,14 @@ const char* flow_kind_name(FlowKind kind) {
   return "unknown";
 }
 
+std::optional<FlowKind> flow_kind_from_name(std::string_view name) {
+  for (std::size_t k = 0; k < kNumFlowKinds; ++k) {
+    const auto kind = static_cast<FlowKind>(k);
+    if (name == flow_kind_name(kind)) return kind;
+  }
+  return std::nullopt;
+}
+
 Network::Network(sim::Simulator& sim, Topology topology, NetworkOptions options)
     : sim_(sim), topology_(std::move(topology)), options_(options) {
   const std::size_t n_arcs = topology_.num_arcs();
@@ -59,9 +57,8 @@ Network::Network(sim::Simulator& sim, Topology topology, NetworkOptions options)
   arc_visit_.assign(n_arcs, 0);
   arc_local_idx_.assign(n_arcs, 0);
   arc_bits_.assign(n_arcs, 0.0);
-  // Arc-bounded solver scratch is pre-sized once here; the flow-bounded
-  // scratch buffers grow on first use and then retain capacity, so a
-  // steady-state solve allocates nothing.
+  // Arc-bounded solver scratch is pre-sized once here; the flow-bounded cap
+  // list grows with the arena (allocate_slot), so a solve allocates nothing.
   scratch_arc_stack_.reserve(n_arcs);
   scratch_local_arcs_.reserve(n_arcs);
   scratch_residual_.reserve(n_arcs);
@@ -207,20 +204,6 @@ void Network::audit_scheduler() const {
   }
   if (frontier != dirty_flags) fail("dirty flags out of sync with frontier");
 
-  std::vector<std::uint8_t> listed(slot_id_.size(), 0);
-  std::size_t dead_entries = 0;
-  for (std::size_t i = 0; i < id_order_.size(); ++i) {
-    const IdOrderEntry& e = id_order_[i];
-    if (i > 0 && id_order_[i - 1].id >= e.id) fail("id-ordered list not strictly increasing");
-    if (e.slot >= slot_id_.size()) fail("id-ordered list entry out of arena bounds");
-    if (!slot_in_use_[e.slot] || slot_id_[e.slot] != e.id) {
-      ++dead_entries;
-      continue;
-    }
-    if (listed[e.slot]++ != 0) fail("live slot listed twice in the id-ordered list");
-  }
-  if (id_order_.size() - dead_entries != in_use) fail("live slot missing from the id-ordered list");
-  if (dead_entries != id_order_dead_) fail("id-ordered list dead count out of sync");
 }
 
 ArenaStats Network::arena_stats() const {
@@ -303,7 +286,9 @@ double Network::aggregate_rate_bps() const {
 // keddah:hot(start-flow)
 FlowId Network::start_flow(NodeId src, NodeId dst, util::Bytes bytes, FlowMeta meta,
                            CompletionCallback on_complete, util::Rate rate_cap) {
-  if (bytes.value() < 0.0) throw std::invalid_argument("network: negative flow size");
+  if (!std::isfinite(bytes.value()) || bytes.value() < 0.0) {
+    throw std::invalid_argument("network: flow size must be finite and >= 0");
+  }
   const FlowId id = next_flow_id_++;
 
   Flow flow;
@@ -399,14 +384,6 @@ FlowId Network::start_flow(NodeId src, NodeId dst, util::Bytes bytes, FlowMeta m
                      ++live_slots_;
                      peak_live_slots_ = std::max(peak_live_slots_, live_slots_);
                      slot_index_.insert(flow.id, slot);
-                     // Activation order is id order up to setup-latency
-                     // differences, so the backward insertion is short.
-                     std::size_t at = id_order_.size();
-                     id_order_.push_back({flow.id, slot});
-                     for (; at > 0 && id_order_[at - 1].id > flow.id; --at) {
-                       id_order_[at] = id_order_[at - 1];
-                     }
-                     id_order_[at] = {flow.id, slot};
                      add_membership(slot);
                      heap_insert(slot);
                      reshare();
@@ -477,11 +454,9 @@ std::uint32_t Network::allocate_slot() {
   slot_path_.emplace_back();
   slot_callback_.emplace_back();
   slot_visit_.push_back(0);
-  slot_local_.push_back(0);
-  // The id-ordered list never holds more than two entries per slot (dead
-  // entries are compacted once they outnumber live ones), so growing its
-  // capacity with the arena keeps the append at activation allocation-free.
-  if (id_order_.capacity() < 2 * slot_id_.size()) id_order_.reserve(4 * slot_id_.size());
+  // A solve's cap list holds at most one entry per live flow, so growing its
+  // capacity with the arena keeps the solve allocation-free.
+  if (scratch_caps_.capacity() < slot_id_.size()) scratch_caps_.reserve(2 * slot_id_.size());
   return slot;
 }
 
@@ -578,14 +553,6 @@ std::pair<Flow, Network::CompletionCallback> Network::detach(std::uint32_t slot)
   slot_index_.erase(slot_id_[slot]);
   slot_in_use_[slot] = 0;
   --live_slots_;
-  // Dead id-order entries are dropped once they outnumber live ones, so the
-  // O(list) pass costs O(1) amortized per departure; erase_if keeps order.
-  if (2 * ++id_order_dead_ > id_order_.size()) {
-    std::erase_if(id_order_, [this](const IdOrderEntry& e) {
-      return !slot_in_use_[e.slot] || slot_id_[e.slot] != e.id;
-    });
-    id_order_dead_ = 0;
-  }
   // The slot keeps its pool segment parked for its next occupant; only the
   // length is cleared so audits and compaction see it as empty.
   path_pool_parked_ += slot_path_[slot].cap;
@@ -644,12 +611,21 @@ void Network::assign_rate(std::uint32_t slot, double rate_bps) {
 // keddah:hot(solve)
 void Network::solve_dirty() {
   ++sched_stats_.solves;
-  ++visit_epoch_;
+  // Two stamps per solve: `epoch` marks the component's arcs and flows,
+  // `frozen` marks a component flow whose rate is fixed. Stamps only grow,
+  // so neither needs clearing.
+  visit_epoch_ += 2;
   const std::uint64_t epoch = visit_epoch_;
+  const std::uint64_t frozen = epoch + 1;
 
-  scratch_flows_.clear();
-  scratch_arc_stack_.clear();
+  // Per-arc solve state is component-sized: position p of the local arcs,
+  // residuals and unfrozen counts describes one arc, and arc_local_idx_
+  // maps the arc's global index to p.
   scratch_local_arcs_.clear();
+  scratch_residual_.clear();
+  scratch_unfrozen_.clear();
+  scratch_caps_.clear();
+  scratch_arc_stack_.clear();
 
   // Seed the flood fill with the populated dirty arcs; arcs whose last
   // member departed (or that were never populated) just get their flag
@@ -666,18 +642,25 @@ void Network::solve_dirty() {
   // Flood fill the connected component(s) of the flow/arc sharing graph
   // that contain a dirty arc. Rates of flows outside these components are
   // unaffected by whatever changed (max-min decomposes exactly over
-  // components), so their cached values stand.
+  // components), so their cached values stand. The component is closed
+  // under membership, so an arc's member count is its exact unfrozen count.
+  std::size_t nf = 0;
   while (!scratch_arc_stack_.empty()) {
     const std::uint32_t ai = scratch_arc_stack_.back();
     scratch_arc_stack_.pop_back();
+    const ArcState& arc = arcs_[ai];
+    arc_local_idx_[ai] = static_cast<std::uint32_t>(scratch_local_arcs_.size());
     scratch_local_arcs_.push_back(ai);
-    for (const auto& [slot, pi] : arcs_[ai].members) {
+    scratch_residual_.push_back(arc.capacity_bps);
+    scratch_unfrozen_.push_back(static_cast<std::uint32_t>(arc.members.size()));
+    for (const auto& [slot, pi] : arc.members) {
       (void)pi;
       if (slot_visit_[slot] == epoch) continue;
       slot_visit_[slot] = epoch;
-      // archlint:allow(hot-push-back): flow-bounded scratch; capacity
-      // persists across solves, so growth amortizes to zero steady-state.
-      scratch_flows_.push_back(slot);
+      ++nf;
+      if (std::isfinite(slot_rate_cap_[slot])) {
+        scratch_caps_.push_back({slot_rate_cap_[slot], slot});
+      }
       const PathRef& pr = slot_path_[slot];
       for (std::uint32_t i = 0; i < pr.len; ++i) {
         const std::uint32_t aj = path_pool_[pr.off + i].index();
@@ -689,10 +672,14 @@ void Network::solve_dirty() {
     }
   }
 
-  sched_stats_.links_touched += scratch_local_arcs_.size();
+  auto& local_arcs = scratch_local_arcs_;
+  auto& residual = scratch_residual_;
+  auto& unfrozen = scratch_unfrozen_;
+  auto& caps = scratch_caps_;
+  sched_stats_.links_touched += local_arcs.size();
   {
     // Histogram bucket i holds solves that touched [4^i, 4^(i+1)) arcs.
-    std::size_t n = scratch_local_arcs_.size();
+    std::size_t n = local_arcs.size();
     std::size_t bucket = 0;
     while (n >= 4 && bucket + 1 < sched_stats_.solve_size_hist.size()) {
       n >>= 2;
@@ -700,156 +687,65 @@ void Network::solve_dirty() {
     }
     ++sched_stats_.solve_size_hist[bucket];
   }
-  if (scratch_flows_.empty()) return;
-  sched_stats_.flows_visited += scratch_flows_.size();
+  if (nf == 0) return;
+  sched_stats_.flows_visited += nf;
 
-  // Canonical order: flows by id, real arcs by global arc index, virtual
-  // cap arcs appended in flow order after every real arc. The solve is then
-  // a pure function of (membership, capacities) — independent of how the
-  // component was discovered — which is what makes incremental and
-  // reference allocations bit-identical.
-  const std::size_t nf = scratch_flows_.size();
-  if (kDenseDivisor * nf >= live_slots_) {
-    // Dense component: the id-ordered active list filtered on this solve's
-    // visit stamp is the same sequence the sort would produce. The id check
-    // skips dead entries whose slot now holds a newer flow.
-    std::size_t w = 0;
-    for (const IdOrderEntry& e : id_order_) {
-      if (slot_visit_[e.slot] == epoch && slot_id_[e.slot] == e.id) scratch_flows_[w++] = e.slot;
-    }
-    assert(w == nf);
-  } else {
-    std::sort(scratch_flows_.begin(), scratch_flows_.end(),
-              [this](std::uint32_t a, std::uint32_t b) { return slot_id_[a] < slot_id_[b]; });
-  }
-  std::sort(scratch_local_arcs_.begin(), scratch_local_arcs_.end());
+  // Rate caps in the order their rounds would come: (cap, flow id).
+  std::sort(caps.begin(), caps.end(), [this](const CapEntry& a, const CapEntry& b) {
+    return a.cap != b.cap ? a.cap < b.cap : slot_id_[a.slot] < slot_id_[b.slot];
+  });
 
-  const std::size_t n_real = scratch_local_arcs_.size();
-  for (std::size_t li = 0; li < n_real; ++li) {
-    arc_local_idx_[scratch_local_arcs_[li]] = static_cast<std::uint32_t>(li);
-  }
-  for (std::size_t fi = 0; fi < nf; ++fi) {
-    slot_local_[scratch_flows_[fi]] = static_cast<std::uint32_t>(fi);
-  }
-
-  // CSR of flow -> local arcs (path arcs, then the virtual cap arc if any).
-  // All of the solve state below lives in member scratch buffers (hoisted
-  // locals): assign() reuses retained capacity, so repeat solves allocate
-  // nothing once the buffers have grown to the component's size.
-  auto& flow_arc_off = scratch_flow_arc_off_;
-  flow_arc_off.assign(nf + 1, 0);
-  std::size_t n_virtual = 0;
-  for (std::size_t fi = 0; fi < nf; ++fi) {
-    const std::uint32_t slot = scratch_flows_[fi];
-    const bool capped = std::isfinite(slot_rate_cap_[slot]);
-    flow_arc_off[fi + 1] = flow_arc_off[fi] + slot_path_[slot].len + (capped ? 1u : 0u);
-    if (capped) ++n_virtual;
-  }
-  const std::size_t n_arcs = n_real + n_virtual;
-  auto& flow_arcs = scratch_flow_arcs_;
-  flow_arcs.assign(flow_arc_off[nf], 0);
-  auto& residual = scratch_residual_;
-  residual.assign(n_arcs, 0.0);
-  auto& unfrozen = scratch_unfrozen_;
-  unfrozen.assign(n_arcs, 0);
-  auto& virtual_member = scratch_virtual_member_;
-  virtual_member.assign(n_virtual, 0);
-
-  for (std::size_t li = 0; li < n_real; ++li) {
-    residual[li] = arcs_[scratch_local_arcs_[li]].capacity_bps;
-  }
-  std::size_t next_virtual = n_real;
-  for (std::size_t fi = 0; fi < nf; ++fi) {
-    const std::uint32_t slot = scratch_flows_[fi];
+  // A frozen flow takes `share` off the residual of every arc on its path.
+  const auto freeze = [&](std::uint32_t slot, double share) {
+    slot_visit_[slot] = frozen;
+    --nf;
+    assign_rate(slot, share);
     const PathRef& pr = slot_path_[slot];
-    std::uint32_t w = flow_arc_off[fi];
     for (std::uint32_t i = 0; i < pr.len; ++i) {
-      const std::uint32_t li = arc_local_idx_[path_pool_[pr.off + i].index()];
-      flow_arcs[w++] = li;
-      ++unfrozen[li];
+      const std::uint32_t p = arc_local_idx_[path_pool_[pr.off + i].index()];
+      residual[p] -= share;
+      --unfrozen[p];
     }
-    if (std::isfinite(slot_rate_cap_[slot])) {
-      residual[next_virtual] = slot_rate_cap_[slot];
-      unfrozen[next_virtual] = 1;
-      virtual_member[next_virtual - n_real] = static_cast<std::uint32_t>(fi);
-      flow_arcs[w++] = static_cast<std::uint32_t>(next_virtual);
-      ++next_virtual;
-    }
-  }
-
-  // Progressive filling, one bottleneck arc per round, driven by a lazy
-  // min-heap of (share, local arc). Exact comparisons throughout: ties
-  // break on the local index, which matches the canonical global order.
-  const auto arc_share = [&](std::uint32_t li) {
-    return std::max(0.0, residual[li]) / static_cast<double>(unfrozen[li]);
   };
-  using ShareEntry = std::pair<double, std::uint32_t>;
-  const auto later = [](const ShareEntry& a, const ShareEntry& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second > b.second;
-  };
-  auto& share_heap = scratch_share_heap_;
-  share_heap.clear();
-  share_heap.reserve(n_arcs * 2);
-  for (std::uint32_t li = 0; li < n_arcs; ++li) {
-    if (unfrozen[li] > 0) share_heap.emplace_back(arc_share(li), li);
-  }
-  std::make_heap(share_heap.begin(), share_heap.end(), later);
 
-  auto& frozen = scratch_frozen_;
-  frozen.assign(nf, 0);
-  // Round stamps only grow (share_round_ spans solves), so the stamp
-  // buffer needs no clearing; entries it gains start below every round.
-  auto& arc_round = scratch_arc_round_;
-  if (arc_round.size() < n_arcs) arc_round.resize(n_arcs, 0);
-  auto& touched = scratch_touched_;
-  touched.reserve(n_arcs);
-  std::size_t remaining_flows = nf;
-  while (remaining_flows > 0) {
-    assert(!share_heap.empty());
-    std::pop_heap(share_heap.begin(), share_heap.end(), later);
-    const auto [share, li] = share_heap.back();
-    share_heap.pop_back();
-    // Lazy deletion: an entry is live only if it matches the arc's current
-    // share (every round pushes a fresh entry for each arc it touched).
-    if (unfrozen[li] == 0 || share != arc_share(li)) continue;
-
-    // Every flow frozen this round takes `share` off each arc of its path.
-    // Only an arc's share after the round can be live at the next pop, so
-    // the round records the arcs it touched and pushes each one once.
-    const std::uint64_t round = ++share_round_;
-    touched.clear();
-    const auto freeze = [&](std::uint32_t fi) {
-      if (frozen[fi]) return;
-      frozen[fi] = true;
-      --remaining_flows;
-      assign_rate(scratch_flows_[fi], share);
-      for (std::uint32_t k = flow_arc_off[fi]; k < flow_arc_off[fi + 1]; ++k) {
-        const std::uint32_t lj = flow_arcs[k];
-        residual[lj] -= share;
-        --unfrozen[lj];
-        if (arc_round[lj] != round) {
-          arc_round[lj] = round;
-          touched.push_back(lj);
-        }
+  // Progressive filling, one bottleneck per round. Exact comparisons
+  // throughout (DESIGN.md §9): the bottleneck is the least (share, global
+  // arc index) over the arcs that still have unfrozen members, and a cap
+  // round is taken only when the least unfrozen cap is strictly below it.
+  std::size_t live = local_arcs.size();
+  std::size_t next_cap = 0;
+  while (nf > 0) {
+    double share = kInf;
+    std::uint32_t bottleneck = std::numeric_limits<std::uint32_t>::max();
+    for (std::size_t p = 0; p < live;) {
+      if (unfrozen[p] == 0) {
+        // A fully frozen arc leaves the scan: the last live arc takes its
+        // place, and no later freeze can reach it.
+        --live;
+        local_arcs[p] = local_arcs[live];
+        residual[p] = residual[live];
+        unfrozen[p] = unfrozen[live];
+        arc_local_idx_[local_arcs[p]] = static_cast<std::uint32_t>(p);
+        continue;
       }
-    };
+      const double s = std::max(0.0, residual[p]) / static_cast<double>(unfrozen[p]);
+      if (s < share || (s == share && local_arcs[p] < bottleneck)) {
+        share = s;
+        bottleneck = local_arcs[p];
+      }
+      ++p;
+    }
+    while (next_cap < caps.size() && slot_visit_[caps[next_cap].slot] == frozen) ++next_cap;
+    if (next_cap < caps.size() && caps[next_cap].cap < share) {
+      freeze(caps[next_cap].slot, caps[next_cap].cap);
+      continue;
+    }
+    assert(live > 0);
     // All unfrozen members freeze at the same share, so the member list's
     // (swap-remove) order cannot change any floating-point result.
-    if (li < n_real) {
-      for (const auto& [slot, pi] : arcs_[scratch_local_arcs_[li]].members) {
-        (void)pi;
-        freeze(slot_local_[slot]);
-      }
-    } else {
-      freeze(virtual_member[li - n_real]);
-    }
-    // The bottleneck arc is fully frozen now, so the unfrozen check skips it.
-    for (const std::uint32_t lj : touched) {
-      if (unfrozen[lj] > 0) {
-        share_heap.emplace_back(arc_share(lj), lj);
-        std::push_heap(share_heap.begin(), share_heap.end(), later);
-      }
+    for (const auto& [slot, pi] : arcs_[bottleneck].members) {
+      (void)pi;
+      if (slot_visit_[slot] != frozen) freeze(slot, share);
     }
   }
 }

@@ -219,7 +219,8 @@ class Network {
   /// Starts a flow of `bytes` payload from src to dst. `on_complete` (may be
   /// null) fires when the last byte is delivered. `rate_cap` bounds the
   /// flow below its fair share (application/disk limited senders); any
-  /// non-positive rate means uncapped, same as the infinite default.
+  /// non-positive rate means uncapped, same as the infinite default. Throws
+  /// std::invalid_argument unless `bytes` is finite and >= 0.
   FlowId start_flow(NodeId src, NodeId dst, util::Bytes bytes, FlowMeta meta,
                     CompletionCallback on_complete = nullptr,
                     util::Rate rate_cap = util::Rate::infinite());
@@ -304,11 +305,10 @@ class Network {
 
   /// Audits the scheduler's internal structures: per-arc member lists and
   /// back-references consistent, completion heap well-formed, dirty flags in
-  /// sync with the frontier, columnar path pool segments in bounds, and the
-  /// id-ordered active list strictly increasing by id with every live slot
-  /// on it exactly once. Throws util::AuditError on breach. Cheap enough for
-  /// tests to call after every event; KEDDAH_CHECK builds do not call it
-  /// automatically (it is O(active flows x path)).
+  /// sync with the frontier, and columnar path pool segments in bounds.
+  /// Throws util::AuditError on breach. Cheap enough for tests to call
+  /// after every event; KEDDAH_CHECK builds do not call it automatically
+  /// (it is O(active flows x path)).
   void audit_scheduler() const;
 
   /// Looks up an active flow; returns nullptr if finished or unknown. The
@@ -355,8 +355,8 @@ class Network {
     /// Cached capacity (avoids the Topology indirection on the hot path).
     double capacity_bps = 0.0;
     /// Active flows crossing the arc as (arena slot, index of this arc in
-    /// that flow's path). Unordered: removal is swap-remove; the solver
-    /// canonicalizes by flow id.
+    /// that flow's path). Unordered: removal is swap-remove, and the solver
+    /// freezes all of a bottleneck's members at one share.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> members;
     /// True while the arc sits on the dirty frontier.
     bool dirty = false;
@@ -396,8 +396,9 @@ class Network {
   /// recomputes the complete allocation from scratch.
   void compute_max_min_rates_reference();
   /// Water-filling over the dirty component(s): flood-fills the affected
-  /// flow/arc set, then freezes one bottleneck arc at a time off a lazy
-  /// min-heap of arc shares. Clears the dirty frontier.
+  /// flow/arc set, then freezes one bottleneck per round, found by scanning
+  /// the component's live arcs and its sorted rate caps. Clears the dirty
+  /// frontier.
   void solve_dirty();
   /// Applies a freshly solved rate; no-op (and no heap churn) when the rate
   /// is unchanged.
@@ -483,17 +484,6 @@ class Network {
 
   std::vector<std::uint32_t> free_slots_;
   FlowSlotIndex slot_index_;
-  /// Activated flows in strictly increasing id order, as (id, slot). An
-  /// entry is live while its slot still holds that id; departed flows'
-  /// entries stay (dead) until detach() drops them, once they outnumber
-  /// the live ones. Dense solves read their canonical flow order off this
-  /// list instead of sorting (DESIGN.md §9).
-  struct IdOrderEntry {
-    FlowId id;
-    std::uint32_t slot;
-  };
-  std::vector<IdOrderEntry> id_order_;
-  std::size_t id_order_dead_ = 0;
   std::vector<ArcState> arcs_;
   std::vector<std::uint32_t> dirty_arcs_;
   std::vector<std::uint32_t> finish_heap_;
@@ -504,28 +494,21 @@ class Network {
   std::uint64_t visit_epoch_ = 0;
   std::vector<std::uint64_t> arc_visit_;
   std::vector<std::uint64_t> slot_visit_;
-  /// slot -> index into the current solve's sorted flow list.
-  std::vector<std::uint32_t> slot_local_;
-  std::vector<std::uint32_t> scratch_flows_;
   std::vector<std::uint32_t> scratch_arc_stack_;
+  /// solve_dirty() working set, hoisted out of the solve so repeat solves
+  /// are allocation-free: the component's arcs (global index) with their
+  /// residual capacities and unfrozen member counts, position p of each
+  /// describing one arc (arc_local_idx_ maps a global index to p), and the
+  /// component's rate caps.
   std::vector<std::uint32_t> scratch_local_arcs_;
-  std::vector<std::uint32_t> arc_local_idx_;
-  /// solve_dirty() working set, hoisted out of the solve loop so repeat
-  /// solves are allocation-free in steady state: CSR of the dirty
-  /// component, residual capacities, the share heap, and freeze flags.
-  std::vector<std::uint32_t> scratch_flow_arc_off_;
-  std::vector<std::uint32_t> scratch_flow_arcs_;
   std::vector<double> scratch_residual_;
   std::vector<std::uint32_t> scratch_unfrozen_;
-  std::vector<std::uint32_t> scratch_virtual_member_;
-  std::vector<std::pair<double, std::uint32_t>> scratch_share_heap_;
-  std::vector<std::uint8_t> scratch_frozen_;
-  /// Bottleneck-round bookkeeping: the round that last touched each local
-  /// arc (stamped with share_round_, which counts rounds across solves),
-  /// and the arcs the current round touched, each once.
-  std::uint64_t share_round_ = 0;
-  std::vector<std::uint64_t> scratch_arc_round_;
-  std::vector<std::uint32_t> scratch_touched_;
+  std::vector<std::uint32_t> arc_local_idx_;
+  struct CapEntry {
+    double cap;
+    std::uint32_t slot;
+  };
+  std::vector<CapEntry> scratch_caps_;
   /// on_completion_event() drained batch, reused across completion events.
   struct Drained {
     Flow flow;

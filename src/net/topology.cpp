@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -46,6 +47,14 @@ std::uint32_t pick_arc(std::uint32_t begin, std::uint32_t end, std::uint64_t h,
     if (is_candidate(e) && skip-- == 0) return e;
   }
 }
+
+/// Rejects a capacity the max-min solver cannot order: zero, negative,
+/// infinite or NaN (NaN compares false with every share).
+void check_capacity(util::Rate capacity) {
+  if (!std::isfinite(capacity.bps()) || capacity.bps() <= 0.0) {
+    throw std::invalid_argument("topology: capacity must be finite and > 0");
+  }
+}
 }  // namespace
 
 NodeId Topology::add_node(const std::string& name, int rack, bool is_switch) {
@@ -69,7 +78,7 @@ NodeId Topology::add_switch(const std::string& name) {
 LinkId Topology::add_link(NodeId a, NodeId b, util::Rate capacity, util::Seconds latency) {
   if (a >= nodes_.size() || b >= nodes_.size()) throw std::out_of_range("topology: bad node id");
   if (a == b) throw std::invalid_argument("topology: self-link");
-  if (capacity.bps() <= 0.0) throw std::invalid_argument("topology: non-positive capacity");
+  check_capacity(capacity);
   const LinkId id = static_cast<LinkId>(links_.size());
   links_.push_back(Link{id, a, b, capacity, latency});
   adjacency_[a].emplace_back(b, Arc{id, 0});
@@ -80,7 +89,7 @@ LinkId Topology::add_link(NodeId a, NodeId b, util::Rate capacity, util::Seconds
 
 bool Topology::set_link_capacity(LinkId id, util::Rate capacity) {
   if (id >= links_.size()) throw std::out_of_range("topology: bad link id");
-  if (capacity.bps() <= 0.0) throw std::invalid_argument("topology: non-positive capacity");
+  check_capacity(capacity);
   if (links_[id].capacity == capacity) return false;
   links_[id].capacity = capacity;
   return true;

@@ -67,7 +67,8 @@ class Topology {
   /// Adds a switch (never a flow endpoint).
   NodeId add_switch(const std::string& name);
 
-  /// Connects two nodes with a full-duplex link.
+  /// Connects two nodes with a full-duplex link. Throws
+  /// std::invalid_argument unless the capacity is finite and > 0.
   LinkId add_link(NodeId a, NodeId b, util::Rate capacity, util::Seconds latency);
 
   std::size_t num_nodes() const { return nodes_.size(); }
@@ -81,7 +82,8 @@ class Topology {
   /// degradation windows). Routing is unaffected; callers that cache rates
   /// (the network engine) must recompute shares afterwards. Returns false
   /// when the new capacity equals the current one — callers use this to
-  /// keep their dirty sets empty on no-op rewrites.
+  /// keep their dirty sets empty on no-op rewrites. The capacity is checked
+  /// as add_link checks it.
   bool set_link_capacity(LinkId id, util::Rate capacity);
 
   /// Links incident to a node, in creation order (a host's single entry is

@@ -1,9 +1,12 @@
 #include "util/csv.h"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "util/diagnostic.h"
 #include "util/strings.h"
 
 namespace keddah::util {
@@ -77,6 +80,52 @@ void CsvTable::save(const std::string& path) const {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("csv: cannot write " + path);
   write(out);
+}
+
+namespace {
+
+/// Parses all of `cell` as a T: false on junk, trailing junk or overflow.
+template <typename T>
+bool parse_whole(const std::string& cell, T& value) {
+  const auto [end, ec] = std::from_chars(cell.data(), cell.data() + cell.size(), value);
+  return ec == std::errc() && end == cell.data() + cell.size();
+}
+
+}  // namespace
+
+CsvRowReader::CsvRowReader(const CsvTable& table, const std::string& source,
+                           std::span<const char* const> required)
+    : table_(table), source_(source) {
+  for (const char* column : required) {
+    if (!table.has_column(column)) {
+      throw std::runtime_error(
+          format_diagnostic(source, "header", format("no '%s' column", column), ""));
+    }
+  }
+}
+
+void CsvRowReader::fail(const char* column, const std::string& message) const {
+  throw std::runtime_error(
+      format_diagnostic(source_, format("row %zu: %s", row_ + 1, column), message, ""));
+}
+
+std::uint64_t CsvRowReader::integer(const char* column, std::uint64_t max) const {
+  const std::string& cell = text(column);
+  std::uint64_t value = 0;
+  if (!parse_whole(cell, value) || value > max) {
+    fail(column, format("'%s' is not an integer in 0..%llu", cell.c_str(),
+                        static_cast<unsigned long long>(max)));
+  }
+  return value;
+}
+
+double CsvRowReader::number(const char* column) const {
+  const std::string& cell = text(column);
+  double value = 0.0;
+  if (!parse_whole(cell, value) || !std::isfinite(value) || value < 0.0) {
+    fail(column, "'" + cell + "' is not a finite number >= 0");
+  }
+  return value;
 }
 
 }  // namespace keddah::util

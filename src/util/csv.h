@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,35 @@ class CsvTable {
   std::vector<std::string> header_;
   std::map<std::string, std::size_t> index_;
   std::vector<std::vector<std::string>> rows_;
+};
+
+/// Reads a CsvTable one row at a time, with typed cell readers for
+/// loaders. Every rejection throws std::runtime_error formatted as
+/// `source: row N: column: message` (rows count data rows from 1).
+class CsvRowReader {
+ public:
+  /// Throws naming `source: header` when a `required` column is missing.
+  /// The reader keeps references to `table` and `source`.
+  CsvRowReader(const CsvTable& table, const std::string& source,
+               std::span<const char* const> required);
+
+  void seek(std::size_t row) { row_ = row; }
+
+  [[noreturn]] void fail(const char* column, const std::string& message) const;
+
+  /// The raw cell text.
+  const std::string& text(const char* column) const { return table_.cell(row_, column); }
+
+  /// A whole decimal integer in 0..max.
+  std::uint64_t integer(const char* column, std::uint64_t max) const;
+
+  /// A finite number >= 0.
+  double number(const char* column) const;
+
+ private:
+  const CsvTable& table_;
+  const std::string& source_;
+  std::size_t row_ = 0;
 };
 
 }  // namespace keddah::util

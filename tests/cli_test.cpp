@@ -315,6 +315,25 @@ TEST(Cli, AnalyzeRejectsMalformedTraceFixtures) {
   }
 }
 
+// replay exits 1 on every malformed-schedule fixture, printing the
+// loader's "path: row N: column: message" instead of replaying the rows it
+// could read.
+TEST(Cli, ReplayRejectsMalformedScheduleFixtures) {
+  std::size_t fixtures = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(KEDDAH_SCHEDULE_FIXTURES)) {
+    const std::string path = entry.path().string();
+    std::ifstream in(path);
+    std::string first;
+    std::getline(in, first);
+    const auto result = run_cli({"replay", "--schedule", path});
+    EXPECT_EQ(result.code, 1) << path;
+    EXPECT_EQ(result.err, "error: " + path + ": " + first.substr(first.find(": ") + 2) + "\n");
+    EXPECT_EQ(result.out, "") << path;
+    ++fixtures;
+  }
+  EXPECT_GE(fixtures, 7u);
+}
+
 TEST(Cli, CalibrateEstimatesSelectivities) {
   const std::string run_base = temp_path("cli_cal_run");
   auto result = run_cli({"capture", "--job", "sort", "--input", "512MB", "--out", run_base,

@@ -146,10 +146,25 @@ TEST(CountModel, PredictRoundsAndClamps) {
   km::CountModel m;
   m.fit.slope = 2.0;
   m.fit.intercept = 0.0;
-  EXPECT_EQ(m.predict(3.2), 6u);
-  EXPECT_EQ(m.predict(0.0), 0u);
+  EXPECT_EQ(m.predict(3.2, "shuffle"), 6u);
+  EXPECT_EQ(m.predict(0.0, "shuffle"), 0u);
   m.fit.slope = -1.0;
-  EXPECT_EQ(m.predict(5.0), 0u);
+  EXPECT_EQ(m.predict(5.0, "shuffle"), 0u);
+}
+
+// A finite but huge slope passes every loader; the prediction is range
+// checked before the size_t cast instead of wrapping to 2^63 flows.
+TEST(CountModel, HugePredictionThrowsNamingClassAndX) {
+  const auto m = km::CountModel::from_json(
+      ku::Json::parse(R"({"fit": {"slope": 1e30, "intercept": 0}, "regressor": "maps"})"));
+  try {
+    (void)m.predict(1.0, "hdfs_read");
+    FAIL() << "a 1e30-flow prediction was accepted";
+  } catch (const std::overflow_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "count model: hdfs_read at maps = 1 predicts 1e+30 flows, outside 0..1e+09");
+  }
+  EXPECT_EQ(m.predict(1e-30, "hdfs_read"), 1u);
 }
 
 TEST(CountModel, JsonRoundTrip) {
@@ -271,7 +286,7 @@ TEST(Builder, RecoversStructuralShuffleLaw) {
   EXPECT_NEAR(shuffle.count.fit.slope, 1.0, 1e-9);
   EXPECT_NEAR(shuffle.count.fit.r2, 1.0, 1e-9);
   EXPECT_EQ(shuffle.count.regressor, "maps_x_reducers");
-  EXPECT_EQ(shuffle.count.predict(24 * 6), 144u);
+  EXPECT_EQ(shuffle.count.predict(24 * 6, "shuffle"), 144u);
 }
 
 TEST(Builder, PhaseFractionsReflectTraining) {
@@ -366,7 +381,7 @@ TEST(Builder, ClassWithNoFlowsStaysUntrained) {
   const auto& read = model.class_model(kn::FlowKind::kHdfsRead);
   EXPECT_EQ(read.training_flows, 0u);
   EXPECT_FALSE(read.size.trained());
-  EXPECT_EQ(read.count.predict(100.0), 0u);
+  EXPECT_EQ(read.count.predict(100.0, "hdfs_read"), 0u);
 }
 
 TEST(Builder, FullModelJsonRoundTripPreservesPredictions) {
@@ -380,8 +395,8 @@ TEST(Builder, FullModelJsonRoundTripPreservesPredictions) {
   const auto restored = km::KeddahModel::from_json(model.to_json());
   EXPECT_EQ(restored.job_name(), "synthetic");
   for (const auto kind : km::kModelledClasses) {
-    EXPECT_EQ(restored.class_model(kind).count.predict(64.0),
-              model.class_model(kind).count.predict(64.0))
+    EXPECT_EQ(restored.class_model(kind).count.predict(64.0, kn::flow_kind_name(kind)),
+              model.class_model(kind).count.predict(64.0, kn::flow_kind_name(kind)))
         << kn::flow_kind_name(kind);
     EXPECT_NEAR(restored.predict_volume(kind, 3e9), model.predict_volume(kind, 3e9), 1.0);
   }

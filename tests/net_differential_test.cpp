@@ -10,6 +10,7 @@
 // incremental scheduler failed to re-solve a component it should have.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <map>
@@ -156,14 +157,13 @@ RunResult run_mode_on(const kn::Topology& topology, std::uint64_t seed, bool ref
 }
 
 /// Open-loop all-to-all on the oversubscribed 4x4 rack tree: arrivals
-/// outpace the fabric, so a few hundred flows overlap, one sharing
-/// component spans the fabric, and solves take the dense path (canonical
-/// order read off the id-ordered active list). Completions and targeted
-/// aborts run alongside arrivals, so new flows reuse the arena slots of
-/// departed ones whose list entries are still there. A quarter of the flows
-/// are capped at 1/k of a link, a value the water level lands on exactly,
-/// so virtual cap arcs tie with real arcs. Some seeds model latency and
-/// slow-start, which activates flows out of id order.
+/// outpace the fabric, so a few hundred flows overlap and one sharing
+/// component spans the fabric, where every bottleneck scan covers the whole
+/// fabric's arcs. Completions and targeted aborts run alongside arrivals,
+/// so new flows reuse the arena slots of departed ones. A quarter of the
+/// flows are capped at 1/k of a link, a value the water level lands on
+/// exactly, so cap rounds tie with real bottlenecks. Some seeds model
+/// latency and slow-start, which activates flows out of id order.
 RunResult run_dense_mode(std::uint64_t seed, bool reference) {
   unsetenv("KEDDAH_REFERENCE_SCHEDULER");
   ks::Simulator sim;
@@ -233,6 +233,138 @@ void expect_identical(const RunResult& inc, const RunResult& ref, std::uint64_t 
   }
 }
 
+/// The water-filling solver as it stood before bottlenecks were picked by
+/// scanning, kept as an oracle. It orders flows by id and real arcs by
+/// global index, gives every capped flow a virtual arc of capacity `cap`
+/// after all real arcs, lays the flow -> arc incidence out as a CSR, and
+/// pops each round's bottleneck off a lazy min-heap of (share, local arc).
+/// It solves every active flow at once; max-min decomposes exactly over
+/// components, so the engine's rates must equal its rates bit for bit.
+std::map<kn::FlowId, double> previous_solver_rates(const kn::Network& net) {
+  struct ActiveFlow {
+    kn::FlowId id;
+    std::vector<kn::Arc> path;
+    double cap;
+  };
+  std::vector<ActiveFlow> flows;  // visit order is id order
+  net.visit_active_flows(
+      [&flows](const kn::Flow& f) { flows.push_back({f.id, f.path, f.rate_cap_bps}); });
+  const kn::Topology& topo = net.topology();
+  const std::size_t nf = flows.size();
+
+  std::vector<std::uint32_t> local_arcs;
+  for (const ActiveFlow& f : flows) {
+    for (const kn::Arc arc : f.path) local_arcs.push_back(arc.index());
+  }
+  std::sort(local_arcs.begin(), local_arcs.end());
+  local_arcs.erase(std::unique(local_arcs.begin(), local_arcs.end()), local_arcs.end());
+  const std::size_t n_real = local_arcs.size();
+  std::vector<std::uint32_t> arc_local_idx(topo.num_arcs(), 0);
+  for (std::size_t li = 0; li < n_real; ++li) {
+    arc_local_idx[local_arcs[li]] = static_cast<std::uint32_t>(li);
+  }
+
+  // CSR of flow -> local arcs (path arcs, then the virtual cap arc if any),
+  // and each real arc's members as flow indices.
+  std::vector<std::uint32_t> flow_arc_off(nf + 1, 0);
+  std::size_t n_virtual = 0;
+  for (std::size_t fi = 0; fi < nf; ++fi) {
+    const bool capped = std::isfinite(flows[fi].cap);
+    flow_arc_off[fi + 1] = flow_arc_off[fi] + static_cast<std::uint32_t>(flows[fi].path.size()) +
+                           (capped ? 1u : 0u);
+    if (capped) ++n_virtual;
+  }
+  const std::size_t n_arcs = n_real + n_virtual;
+  std::vector<std::uint32_t> flow_arcs(flow_arc_off[nf], 0);
+  std::vector<double> residual(n_arcs, 0.0);
+  std::vector<std::uint32_t> unfrozen(n_arcs, 0);
+  std::vector<std::uint32_t> virtual_member(n_virtual, 0);
+  std::vector<std::vector<std::uint32_t>> members(n_real);
+  for (std::size_t li = 0; li < n_real; ++li) {
+    residual[li] = topo.link(local_arcs[li] / 2).capacity.bps();
+  }
+  std::size_t next_virtual = n_real;
+  for (std::size_t fi = 0; fi < nf; ++fi) {
+    std::uint32_t w = flow_arc_off[fi];
+    for (const kn::Arc arc : flows[fi].path) {
+      const std::uint32_t li = arc_local_idx[arc.index()];
+      flow_arcs[w++] = li;
+      ++unfrozen[li];
+      members[li].push_back(static_cast<std::uint32_t>(fi));
+    }
+    if (std::isfinite(flows[fi].cap)) {
+      residual[next_virtual] = flows[fi].cap;
+      unfrozen[next_virtual] = 1;
+      virtual_member[next_virtual - n_real] = static_cast<std::uint32_t>(fi);
+      flow_arcs[w++] = static_cast<std::uint32_t>(next_virtual);
+      ++next_virtual;
+    }
+  }
+
+  const auto arc_share = [&](std::uint32_t li) {
+    return std::max(0.0, residual[li]) / static_cast<double>(unfrozen[li]);
+  };
+  using ShareEntry = std::pair<double, std::uint32_t>;
+  const auto later = [](const ShareEntry& a, const ShareEntry& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second > b.second;
+  };
+  std::vector<ShareEntry> share_heap;
+  for (std::uint32_t li = 0; li < n_arcs; ++li) {
+    if (unfrozen[li] > 0) share_heap.emplace_back(arc_share(li), li);
+  }
+  std::make_heap(share_heap.begin(), share_heap.end(), later);
+
+  std::vector<std::uint8_t> frozen(nf, 0);
+  std::vector<double> rate(nf, 0.0);
+  std::vector<std::uint64_t> arc_round(n_arcs, 0);
+  std::uint64_t round = 0;
+  std::vector<std::uint32_t> touched;
+  std::size_t remaining_flows = nf;
+  while (remaining_flows > 0) {
+    if (share_heap.empty()) {
+      ADD_FAILURE() << "share heap ran dry with " << remaining_flows << " flows unfrozen";
+      break;
+    }
+    std::pop_heap(share_heap.begin(), share_heap.end(), later);
+    const auto [share, li] = share_heap.back();
+    share_heap.pop_back();
+    if (unfrozen[li] == 0 || share != arc_share(li)) continue;  // stale entry
+    ++round;
+    touched.clear();
+    const auto freeze = [&](std::uint32_t fi) {
+      if (frozen[fi]) return;
+      frozen[fi] = 1;
+      --remaining_flows;
+      rate[fi] = share;
+      for (std::uint32_t k = flow_arc_off[fi]; k < flow_arc_off[fi + 1]; ++k) {
+        const std::uint32_t lj = flow_arcs[k];
+        residual[lj] -= share;
+        --unfrozen[lj];
+        if (arc_round[lj] != round) {
+          arc_round[lj] = round;
+          touched.push_back(lj);
+        }
+      }
+    };
+    if (li < n_real) {
+      for (const std::uint32_t fi : members[li]) freeze(fi);
+    } else {
+      freeze(virtual_member[li - n_real]);
+    }
+    for (const std::uint32_t lj : touched) {
+      if (unfrozen[lj] > 0) {
+        share_heap.emplace_back(arc_share(lj), lj);
+        std::push_heap(share_heap.begin(), share_heap.end(), later);
+      }
+    }
+  }
+
+  std::map<kn::FlowId, double> rates;
+  for (std::size_t fi = 0; fi < nf; ++fi) rates[flows[fi].id] = rate[fi];
+  return rates;
+}
+
 }  // namespace
 
 // 60 seeded scenarios x 5 topologies, every one with faults: the core
@@ -245,9 +377,9 @@ TEST(SchedulerDifferential, SeedSweptScenariosMatchBitExactly) {
   }
 }
 
-// Dense single-component shapes: the incremental and reference modes both
-// read the canonical order off the id-ordered list there, while the sparse
-// seed sweep above locks the sorted path to the same allocations.
+// Dense single-component shapes: the incremental solves cover nearly the
+// whole active set there, as the reference sweeps do, while the sparse seed
+// sweep above has incremental solves of small components.
 TEST(SchedulerDifferential, DenseSingleComponentMatchesBitExactly) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const RunResult inc = run_dense_mode(seed, /*reference=*/false);
@@ -408,4 +540,78 @@ TEST(SchedulerDifferential, ScenarioPipelineMatchesUnderEnvSwitch) {
   // The env var actually flipped the mode: the reference run's full sweeps
   // touch at least as many links per reshare.
   EXPECT_GE(ref.scheduler.links_per_reshare(), inc.scheduler.links_per_reshare());
+}
+
+// The previous solver as the oracle (previous_solver_rates above): after
+// every simulator event, in both modes, every active flow's rate must equal
+// the old water-filling's rate for the same active set, bit for bit. A
+// third of the flows are capped at 1/k of a link, where the water level
+// lands, so cap rounds tie with real bottlenecks; link degradations and
+// aborts move the level mid-run. The differential tests above compare the
+// two modes of one solver, so this is what pins the solver's tie order.
+TEST(SchedulerDifferential, RatesMatchPreviousSolverAfterEveryEvent) {
+  unsetenv("KEDDAH_REFERENCE_SCHEDULER");  // pin the mode via NetworkOptions
+  const struct Shape {
+    const char* name;
+    kn::Topology topology;
+  } shapes[] = {{"rack tree 3x4", kn::make_rack_tree(3, 4, 1e9, 10e9, 1e-4)},
+                {"oversubscribed 4x4", kn::make_rack_tree(4, 4, 1e9, 1e9, 1e-4)},
+                {"fat tree k=4", kn::make_fat_tree(4, 1e9, 1e-4)}};
+  for (const Shape& shape : shapes) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      for (const bool reference : {false, true}) {
+        SCOPED_TRACE(std::string(shape.name) + " seed " + std::to_string(seed) +
+                     (reference ? " reference" : " incremental"));
+        ks::Simulator sim;
+        kn::NetworkOptions opts;
+        opts.model_latency = (seed % 2 == 0);
+        opts.reference_scheduler = reference;
+        kn::Network net(sim, shape.topology, opts);
+        const auto hosts = net.topology().hosts();
+        ku::Rng rng(seed);
+        const std::size_t num_flows = 150;
+        for (std::size_t i = 0; i < num_flows; ++i) {
+          const auto src = hosts[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1))];
+          auto dst = hosts[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1))];
+          if (dst == src) dst = hosts[(static_cast<std::size_t>(dst) + 1) % hosts.size()];
+          const double bytes = std::pow(10.0, rng.uniform(4.5, 7.0));
+          const double cap =
+              rng.chance(0.33) ? 1e9 / static_cast<double>(rng.uniform_int(2, 16)) : 0.0;
+          sim.schedule_at(rng.uniform(0.0, 1.0), [&net, src, dst, bytes, cap] {
+            net.start_flow(src, dst, ku::Bytes(bytes), {}, nullptr, ku::Rate::bps(cap));
+          });
+        }
+        for (int i = 0; i < 3; ++i) {
+          const auto link = static_cast<kn::LinkId>(
+              rng.uniform_int(0, static_cast<std::int64_t>(net.topology().num_links()) - 1));
+          const double at = rng.uniform(0.1, 1.0);
+          sim.schedule_at(at, [&net, link] {
+            net.set_link_capacity(link, net.topology().link(link).capacity * 0.5);
+          });
+          sim.schedule_at(at + 0.5, [&net, link] {
+            net.set_link_capacity(link, net.topology().link(link).capacity * 2.0);
+          });
+          const auto victim =
+              static_cast<kn::FlowId>(rng.uniform_int(1, static_cast<std::int64_t>(num_flows)));
+          sim.schedule_at(rng.uniform(0.1, 1.5), [&net, victim] { net.abort_flow(victim); });
+        }
+        std::size_t steps = 0;
+        std::size_t compared = 0;
+        while (sim.step()) {
+          ++steps;
+          const auto expected = previous_solver_rates(net);
+          net.visit_active_flows([&](const kn::Flow& f) {
+            ++compared;
+            const auto it = expected.find(f.id);
+            ASSERT_NE(it, expected.end());
+            EXPECT_EQ(f.rate_bps, it->second) << "flow " << f.id << " after event " << steps;
+          });
+          if (HasFailure()) return;  // one detailed failure beats thousands
+        }
+        EXPECT_GT(compared, num_flows) << "too few rates compared";
+      }
+    }
+  }
 }

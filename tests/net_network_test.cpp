@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -232,6 +233,21 @@ TEST(Network, NegativeBytesThrows) {
   const auto& topo = h.net.topology();
   EXPECT_THROW(h.net.start_flow(topo.find("h0"), topo.find("h1"), ku::Bytes(-1.0), {}, nullptr),
                std::logic_error);
+}
+
+TEST(Network, NonFiniteBytesThrows) {
+  Harness h(kn::make_star(2, kGbps, 0.0), no_latency());
+  const auto& topo = h.net.topology();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(h.net.start_flow(topo.find("h0"), topo.find("h1"), ku::Bytes(inf), {}, nullptr),
+               std::invalid_argument);
+  // KEDDAH_CHECK builds reject NaN when the Bytes is constructed.
+  if constexpr (!ku::kAuditEnabled) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(h.net.start_flow(topo.find("h0"), topo.find("h1"), ku::Bytes(nan), {}, nullptr),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(h.net.total_flows(), 0u);
 }
 
 TEST(Network, StaggeredArrivalsShareCorrectly) {

@@ -201,11 +201,12 @@ namespace {
 void expect_max_min(const kn::Network& net, const std::string& where) {
   const auto& topo = net.topology();
   std::vector<double> arc_load(topo.num_links() * 2, 0.0);
-  std::vector<const kn::Flow*> flows;
+  // visit_active_flows passes a view it overwrites per flow: keep copies.
+  std::vector<kn::Flow> flows;
   net.visit_active_flows([&](const kn::Flow& f) {
     if (f.path.empty() || f.rate_bps <= 0.0) return;  // loopback / not yet rated
     for (const auto arc : f.path) arc_load[arc.index()] += f.rate_bps;
-    flows.push_back(&f);
+    flows.push_back(f);
   });
   for (kn::LinkId l = 0; l < topo.num_links(); ++l) {
     const double cap = topo.link(l).capacity.bps();
@@ -214,18 +215,18 @@ void expect_max_min(const kn::Network& net, const std::string& where) {
           << where << ": link " << l << " dir " << int(dir) << " oversubscribed";
     }
   }
-  for (const auto* f : flows) {
-    if (f->rate_bps + 1e-6 * f->rate_cap_bps >= f->rate_cap_bps) continue;  // at cap
+  for (const kn::Flow& f : flows) {
+    if (f.rate_bps + 1e-6 * f.rate_cap_bps >= f.rate_cap_bps) continue;  // at cap
     bool bottlenecked = false;
-    for (const auto arc : f->path) {
+    for (const auto arc : f.path) {
       const double cap = topo.link(arc.link).capacity.bps();
       if (arc_load[arc.index()] >= cap * (1.0 - 1e-9)) {
         bottlenecked = true;
         break;
       }
     }
-    EXPECT_TRUE(bottlenecked) << where << ": flow " << f->id << " at "
-                              << f->rate_bps << " bps (< cap " << f->rate_cap_bps
+    EXPECT_TRUE(bottlenecked) << where << ": flow " << f.id << " at " << f.rate_bps
+                              << " bps (< cap " << f.rate_cap_bps
                               << ") crosses no saturated arc";
   }
 }
@@ -250,10 +251,10 @@ TEST_P(NetworkProperty, MaxMinInvariantsHoldAfterEveryEvent) {
 
 // One dense shape under the same per-event checks: a 200-flow open-loop
 // burst on the oversubscribed 4x4 rack tree is one sharing component
-// spanning the fabric, so solves read their canonical order off the
-// id-ordered active list. Slow-start activates flows out of id order and
-// targeted aborts leave dead entries behind, so audit_scheduler() checks
-// the list's backward insertions and compactions after every event.
+// spanning the fabric, so every solve scans the whole fabric's arcs.
+// Slow-start activates flows out of id order and targeted aborts free
+// slots mid-burst, so audit_scheduler() checks the member lists, the
+// completion heap and the arena's slot reuse after every event.
 TEST(NetworkDense, AuditAndMaxMinHoldAfterEveryEvent) {
   unsetenv("KEDDAH_REFERENCE_SCHEDULER");
   for (const bool reference : {false, true}) {

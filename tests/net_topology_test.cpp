@@ -1,6 +1,7 @@
 // Unit tests for topology construction, routing, ECMP, and the builders.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -159,6 +160,26 @@ TEST(Topology, BadLinksThrow) {
   EXPECT_THROW(t.add_link(a, kn::NodeId(99), ku::Rate::bps(1e9), ku::Seconds(0.0)), std::out_of_range);
   const auto b = t.add_host("b", 0);
   EXPECT_THROW(t.add_link(a, b, ku::Rate::bps(0.0), ku::Seconds(0.0)), std::invalid_argument);
+}
+
+// The max-min solver compares shares exactly, and NaN compares false with
+// everything, so a non-finite capacity is rejected where it enters.
+TEST(Topology, NonFiniteCapacityThrows) {
+  kn::Topology t;
+  const auto a = t.add_host("a", 0);
+  const auto b = t.add_host("b", 0);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(t.add_link(a, b, ku::Rate::bps(inf), ku::Seconds(0.0)), std::invalid_argument);
+  const auto link = t.add_link(a, b, ku::Rate::bps(1e9), ku::Seconds(0.0));
+  EXPECT_THROW(t.set_link_capacity(link, ku::Rate::bps(inf)), std::invalid_argument);
+  EXPECT_EQ(t.link(link).capacity.bps(), 1e9);
+  // KEDDAH_CHECK builds reject a NaN rate when the Rate is constructed.
+  if constexpr (!ku::kAuditEnabled) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(t.add_link(a, b, ku::Rate::bps(nan), ku::Seconds(0.0)), std::invalid_argument);
+    EXPECT_THROW(t.set_link_capacity(link, ku::Rate::bps(nan)), std::invalid_argument);
+  }
+  EXPECT_EQ(t.num_links(), 1u);
 }
 
 TEST(Topology, RouteThroughSwitch) {
