@@ -17,8 +17,8 @@ void run_chain(keddah::workloads::Workload w, std::size_t iterations, std::uint6
   using namespace keddah;
   using bench::kGiB;
   hadoop::HadoopCluster cluster(bench::default_config(), seed);
-  const auto input = cluster.ensure_input(4 * kGiB);
-  const auto results = workloads::run_iterative(cluster, w, input, iterations, 8);
+  const workloads::JobEntry chain{w, 4 * kGiB, 8, 0.0, iterations};
+  const auto results = workloads::run_jobs(cluster, std::span(&chain, 1));
   const auto trace = cluster.take_trace();
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto job_trace = trace.filter_job(results[i].job_id);

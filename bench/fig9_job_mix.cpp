@@ -17,12 +17,16 @@ int main() {
   const auto cfg = bench::default_config();
 
   // --- capture: three jobs overlapping on one cluster ---
-  const std::vector<workloads::MixJob> mix_jobs = {
+  const std::vector<workloads::JobEntry> mix_jobs = {
       {workloads::Workload::kSort, 4 * kGiB, 8, 0.0},
       {workloads::Workload::kWordCount, 4 * kGiB, 8, 10.0},
       {workloads::Workload::kGrep, 8 * kGiB, 8, 20.0},
   };
-  const auto mix = workloads::run_mix(cfg, mix_jobs, 14000);
+  hadoop::HadoopCluster cluster(cfg, 14000);
+  auto results = workloads::run_jobs(cluster, mix_jobs);
+  // Job ids follow submission order, which is entry order here.
+  std::ranges::sort(results, {}, &hadoop::JobResult::job_id);
+  const auto trace = cluster.take_trace();
 
   util::print_section(std::cout, "captured: per-job timings, concurrent vs isolated");
   util::TextTable jobs_table(
@@ -34,9 +38,9 @@ int main() {
     jobs_table.add_row(
         {workloads::workload_name(mix_jobs[i].workload),
          util::format("%.0f", mix_jobs[i].submit_at),
-         util::format("%.1f", mix.results[i].duration()),
+         util::format("%.1f", results[i].duration()),
          util::format("%.1f", isolated.result.duration()),
-         util::format("%.2fx", mix.results[i].duration() / isolated.result.duration())});
+         util::format("%.2fx", results[i].duration() / isolated.result.duration())});
   }
   jobs_table.print(std::cout);
 
@@ -64,19 +68,19 @@ int main() {
   const auto replayed = gen::replay(schedule, cfg.build_topology());
 
   util::TextTable compare({"metric", "captured", "generated"});
-  compare.add_row({"flows", std::to_string(mix.trace.size()),
+  compare.add_row({"flows", std::to_string(trace.size()),
                    std::to_string(replayed.trace.size())});
-  compare.add_row({"bytes", util::human_bytes(mix.trace.total_bytes()),
+  compare.add_row({"bytes", util::human_bytes(trace.total_bytes()),
                    util::human_bytes(replayed.trace.total_bytes())});
   compare.add_row({"span_s",
-                   util::format("%.1f", mix.trace.last_end() - mix.trace.first_start()),
+                   util::format("%.1f", trace.last_end() - trace.first_start()),
                    util::format("%.1f", replayed.trace.last_end() -
                                             replayed.trace.first_start())});
   compare.print(std::cout);
 
   // Aggregate load envelope, 5 s bins, side by side.
   util::print_section(std::cout, "aggregate load (5 s bins)");
-  const auto cap_series = mix.trace.throughput_series(5.0);
+  const auto cap_series = trace.throughput_series(5.0);
   const auto gen_series = replayed.trace.throughput_series(5.0);
   util::TextTable envelope({"t_s", "captured", "generated"});
   const std::size_t bins = std::max(cap_series.size(), gen_series.size());

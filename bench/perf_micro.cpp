@@ -141,7 +141,7 @@ void BM_SweepThroughput(benchmark::State& state) {
     spec.cluster.hosts_per_rack = 4;
     spec.cluster.block_size = 64ull << 20;
     spec.seed = 7000 + i;
-    core::ScenarioSpec::JobEntry job;
+    workloads::JobEntry job;
     job.workload = workloads::Workload::kSort;
     job.input_bytes = 256ull << 20;
     spec.jobs.push_back(job);

@@ -7,7 +7,7 @@
 #include "bench_common.h"
 #include "hadoop/attribution.h"
 #include "hadoop/cluster.h"
-#include "workloads/profiles.h"
+#include "workloads/suite.h"
 
 namespace {
 
@@ -21,20 +21,11 @@ void run_scenario(const Scenario& scenario, std::uint64_t seed,
   using namespace keddah;
   using bench::kGiB;
   hadoop::HadoopCluster cluster(bench::default_config(), seed);
-  const auto input = cluster.ensure_input(4 * kGiB);
-  std::size_t done = 0;
-  cluster.control().enable();
+  std::vector<workloads::JobEntry> entries;
   for (const auto& [workload, submit_at] : scenario.jobs) {
-    cluster.simulator().schedule_at(submit_at, [&cluster, &done, &scenario, workload, input] {
-      cluster.runner().submit(workloads::make_spec(workload, input, 8),
-                              [&cluster, &done, &scenario](const hadoop::JobResult&) {
-                                if (++done == scenario.jobs.size()) {
-                                  cluster.control().disable();
-                                }
-                              });
-    });
+    entries.push_back({workload, 4 * kGiB, 8, submit_at});
   }
-  cluster.simulator().run();
+  workloads::run_jobs(cluster, entries);
   const auto trace = cluster.take_trace();
   const auto result = hadoop::attribute_flows(trace, cluster.history());
   table.add_row({scenario.label, std::to_string(trace.size()),

@@ -6,7 +6,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "capture/trace.h"
@@ -14,11 +16,13 @@
 
 namespace keddah::capture {
 
-/// Dense bytes[src][dst] aggregation of a trace.
+/// bytes[src][dst] aggregation of a trace. Only pairs that carry flows
+/// are stored, so memory follows the trace, not the largest node id.
 class TrafficMatrix {
  public:
   /// Builds from a trace; `num_nodes` must cover every node id that
-  /// appears (records with larger ids throw std::out_of_range).
+  /// appears (records with larger ids throw std::out_of_range). It is also
+  /// the node count imbalance() averages over.
   static TrafficMatrix from_trace(const Trace& trace, std::size_t num_nodes);
 
   /// Restricted to one classified traffic class.
@@ -53,9 +57,13 @@ class TrafficMatrix {
   std::vector<HotPair> hottest_pairs(std::size_t k) const;
 
  private:
-  explicit TrafficMatrix(std::size_t n) : n_(n), cells_(n * n, 0.0) {}
+  explicit TrafficMatrix(std::size_t n) : n_(n) {}
   std::size_t n_ = 0;
-  std::vector<double> cells_;
+  /// Bytes per (src, dst) pair, iterated row-major like a dense matrix.
+  std::map<std::pair<std::size_t, std::size_t>, double> cells_;
+  /// Per-node totals, summed in the order a dense row/column scan would.
+  std::map<std::size_t, double> tx_;
+  std::map<std::size_t, double> rx_;
 };
 
 }  // namespace keddah::capture

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "api/specs.h"
 #include "capture/matrix.h"
@@ -28,29 +29,24 @@ namespace keddah::cli {
 
 namespace {
 
-/// A count flag; negatives read as 0, which the range check rejects.
-std::size_t count_arg(const util::Args& args, const std::string& key, std::int64_t fallback) {
-  return static_cast<std::size_t>(std::max<std::int64_t>(args.get_int(key, fallback), 0));
-}
-
 /// The cluster the flags describe, range-checked like a scenario's
 /// "cluster" object (hadoop::check_cluster_config).
 hadoop::ClusterConfig config_from_args(const util::Args& args) {
   hadoop::ClusterConfig cfg;
-  cfg.racks = count_arg(args, "racks", 4);
-  cfg.hosts_per_rack = count_arg(args, "hosts-per-rack", 4);
+  cfg.racks = args.get_count("racks", 4);
+  cfg.hosts_per_rack = args.get_count("hosts-per-rack", 4);
   cfg.access_bps = args.get_double("access-gbps", 1.0) * 1e9;
   cfg.core_bps = args.get_double("core-gbps", 10.0) * 1e9;
   cfg.block_size = args.get_bytes("block-size", 128ull << 20);
-  cfg.replication = static_cast<std::uint32_t>(count_arg(args, "replication", 3));
-  cfg.containers_per_node = count_arg(args, "containers", 4);
+  cfg.replication = static_cast<std::uint32_t>(args.get_count("replication", 3));
+  cfg.containers_per_node = args.get_count("containers", 4);
   cfg.slowstart = args.get_double("slowstart", 0.05);
   cfg.locality_delay_s = args.get_double("locality-delay", 2.0);
   cfg.map_output_compress_ratio = args.get_double("compress-ratio", 1.0);
   cfg.speculative_execution = args.get_bool("speculative", false);
   cfg.straggler_fraction = args.get_double("straggler-fraction", 0.0);
   cfg.fetch_failure_threshold =
-      static_cast<std::uint32_t>(args.get_int("fetch-failure-threshold", 3));
+      static_cast<std::uint32_t>(args.get_count("fetch-failure-threshold", 3));
   cfg.fetch_retry_initial_s = args.get_double("fetch-backoff", 1.0);
   cfg.fetch_retry_cap_s = args.get_double("fetch-backoff-cap", 10.0);
   const std::string topo = args.get("topology", "racktree");
@@ -58,7 +54,7 @@ hadoop::ClusterConfig config_from_args(const util::Args& args) {
     cfg.topology = hadoop::TopologyKind::kStar;
   } else if (topo == "fattree") {
     cfg.topology = hadoop::TopologyKind::kFatTree;
-    cfg.fat_tree_k = count_arg(args, "fat-tree-k", 4);
+    cfg.fat_tree_k = args.get_count("fat-tree-k", 4);
   } else if (topo == "racktree") {
     cfg.topology = hadoop::TopologyKind::kRackTree;
   } else {
@@ -92,10 +88,10 @@ int cmd_capture(const util::Args& args, std::ostream& out, std::ostream& err) {
   const auto cfg = config_from_args(args);
   const auto workload = workloads::workload_from_name(args.get("job", "sort"));
   const std::uint64_t input = args.get_bytes("input", 2ull << 30);
-  const auto reps = static_cast<std::size_t>(args.get_int("reps", 1));
-  const auto reducers = static_cast<std::size_t>(args.get_int("reducers", 0));
+  const auto reps = args.get_count("reps", 1);
+  const auto reducers = args.get_count("reducers", 0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 1));
+  const auto threads = args.get_count("threads", 1);
   const std::string out_base = args.get("out", "keddah_run");
   const auto faults = faults_from_args(args, cfg);
   args.reject_unknown();
@@ -164,9 +160,9 @@ int cmd_train(const util::Args& args, std::ostream& out, std::ostream& err) {
 int cmd_generate(const util::Args& args, std::ostream& out, std::ostream& err) {
   const std::string model_path = args.get("model", "keddah_model.json");
   const double input = static_cast<double>(args.get_bytes("input", 8ull << 30));
-  const auto hosts = static_cast<std::size_t>(args.get_int("hosts", 16));
-  const auto maps = static_cast<std::size_t>(args.get_int("maps", 0));
-  const auto reducers = static_cast<std::size_t>(args.get_int("reducers", 0));
+  const auto hosts = args.get_count("hosts", 16);
+  const auto maps = args.get_count("maps", 0);
+  const auto reducers = args.get_count("reducers", 0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const bool normalize = args.get_bool("normalize-volume", false);
   const std::string schedule_path = args.get("out", "keddah_schedule.csv");
@@ -234,8 +230,8 @@ int cmd_validate(const util::Args& args, std::ostream& out, std::ostream& err) {
   const std::string run_base = args.get("run", "");
   core::ValidateSpec spec;
   spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  spec.repetitions = static_cast<std::size_t>(args.get_int("reps", 1));
-  spec.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  spec.repetitions = args.get_count("reps", 1);
+  spec.threads = args.get_count("threads", 0);
   args.reject_unknown();
   if (run_base.empty()) {
     err << "error: --run <basename> is required\n";
@@ -253,7 +249,7 @@ int cmd_export_ns3(const util::Args& args, std::ostream& out, std::ostream& err)
   const std::string schedule_path = args.get("schedule", "keddah_schedule.csv");
   const std::string out_base = args.get("out", "keddah-replay");
   gen::Ns3ExportOptions options;
-  options.num_hosts = static_cast<std::size_t>(args.get_int("hosts", 16));
+  options.num_hosts = args.get_count("hosts", 16);
   options.link_rate = args.get("link-rate", "1Gbps");
   options.link_delay = args.get("link-delay", "100us");
   args.reject_unknown();
@@ -267,13 +263,17 @@ int cmd_export_ns3(const util::Args& args, std::ostream& out, std::ostream& err)
 int cmd_analyze(const util::Args& args, std::ostream& out, std::ostream& err) {
   const std::string trace_path = args.get("trace", "");
   const std::string history_path = args.get("history", "");
-  const auto hosts = static_cast<std::size_t>(args.get_int("hosts", 0));
+  const auto hosts = args.get_count("hosts", 0);
   args.reject_unknown();
   if (trace_path.empty()) {
     err << "error: --trace <file.csv> is required\n";
     return 2;
   }
   const auto trace = capture::Trace::load(trace_path);
+  // Both inputs load before anything prints, so a bad history prints only
+  // its error.
+  std::optional<hadoop::JobHistoryLog> history;
+  if (!history_path.empty()) history = hadoop::JobHistoryLog::load(history_path);
   out << "Trace: " << trace.size() << " flows, " << util::human_bytes(trace.total_bytes())
       << " over " << util::human_seconds(trace.last_end() - trace.first_start()) << "\n\n";
 
@@ -327,9 +327,8 @@ int cmd_analyze(const util::Args& args, std::ostream& out, std::ostream& err) {
   }
 
   // Attribution against a history log, when provided.
-  if (!history_path.empty()) {
-    const auto history = hadoop::JobHistoryLog::load(history_path);
-    const auto attribution = hadoop::attribute_flows(trace, history);
+  if (history) {
+    const auto attribution = hadoop::attribute_flows(trace, *history);
     out << util::format(
         "\nattribution vs %s: %zu/%zu flows attributed, precision %.1f%%, recall %.1f%%\n",
         history_path.c_str(), attribution.attributed, trace.size(),
@@ -340,8 +339,8 @@ int cmd_analyze(const util::Args& args, std::ostream& out, std::ostream& err) {
 
 int cmd_calibrate(const util::Args& args, std::ostream& out, std::ostream& err) {
   const std::string run_base = args.get("run", "");
-  const auto nodes = static_cast<std::size_t>(args.get_int("nodes", 16));
-  const auto replication = static_cast<std::uint32_t>(args.get_int("replication", 3));
+  const auto nodes = args.get_count("nodes", 16);
+  const auto replication = static_cast<std::uint32_t>(args.get_count("replication", 3));
   const double compress = args.get_double("compress-ratio", 1.0);
   args.reject_unknown();
   if (run_base.empty()) {
@@ -423,7 +422,7 @@ int cmd_run_scenario(const util::Args& args, std::ostream& out, std::ostream& er
   const std::string history_path = args.get("history-out", "");
   const std::string spill_dir = args.get("spill-dir", "");
   // Overrides the scenarios' own "threads" fields for the batch sweep.
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  const auto threads = args.get_count("threads", 0);
   // --json prints the Spec-API response document instead of tables; the
   // bytes are identical to a `keddah serve` /v1/whatif response for the
   // same scenario (api/specs.h).

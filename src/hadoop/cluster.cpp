@@ -197,11 +197,4 @@ FaultStats HadoopCluster::fault_stats() const {
   return stats;
 }
 
-std::vector<JobResult> HadoopCluster::run_jobs(const std::vector<JobSpec>& specs) {
-  std::vector<JobResult> results;
-  results.reserve(specs.size());
-  for (const auto& spec : specs) results.push_back(run_job(spec));
-  return results;
-}
-
 }  // namespace keddah::hadoop

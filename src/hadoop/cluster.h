@@ -56,14 +56,11 @@ class HadoopCluster {
   /// returns its name. The name encodes the size so repeated runs share it.
   std::string ensure_input(std::uint64_t bytes);
 
-  /// Runs one job to completion (blocking: advances the simulator until the
-  /// job's output is durable). Control traffic is emitted while the job
-  /// runs. Returns the execution summary.
+  /// Runs one hand-built job to completion (blocking: advances the
+  /// simulator until the job's output is durable). Control traffic is
+  /// emitted while the job runs. Returns the execution summary. Workload
+  /// jobs, mixes and chains go through workloads::run_jobs instead.
   JobResult run_job(const JobSpec& spec);
-
-  /// Runs several jobs back to back (sequential submission, one result per
-  /// spec, in order).
-  std::vector<JobResult> run_jobs(const std::vector<JobSpec>& specs);
 
   /// Flows captured so far (excludes loopback per collector options).
   const capture::Trace& trace() const { return collector_->trace(); }

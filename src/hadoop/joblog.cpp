@@ -1,10 +1,11 @@
 #include "hadoop/joblog.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
-#include <stdexcept>
 
+#include "capture/trace.h"
 #include "util/strings.h"
 
 namespace keddah::hadoop {
@@ -28,13 +29,29 @@ const char* task_event_kind_name(TaskEvent::Kind kind) {
 }
 
 namespace {
-TaskEvent::Kind kind_from_name(const std::string& name) {
+
+constexpr const char* kColumns[] = {"time", "job_id", "kind", "node", "task_index"};
+
+TaskEvent::Kind read_kind(const util::CsvRowReader& row) {
+  const std::string& cell = row.text("kind");
   for (int k = 0; k <= 5; ++k) {
     const auto kind = static_cast<TaskEvent::Kind>(k);
-    if (name == task_event_kind_name(kind)) return kind;
+    if (cell == task_event_kind_name(kind)) return kind;
   }
-  throw std::invalid_argument("joblog: unknown event kind '" + name + "'");
+  row.fail("kind", "unknown event kind '" + cell + "'");
 }
+
+/// A task's host id, or kInvalidNode for job-level events.
+net::NodeId read_node(const util::CsvRowReader& row) {
+  const auto id = static_cast<std::uint32_t>(row.integer("node", net::kInvalidNode.value()));
+  if (id != net::kInvalidNode.value() && id >= capture::Trace::kMaxCsvNodes) {
+    row.fail("node", util::format("%u is neither a node id in 0..%u nor %u (a job-level event)",
+                                  id, capture::Trace::kMaxCsvNodes - 1,
+                                  net::kInvalidNode.value()));
+  }
+  return net::NodeId(id);
+}
+
 }  // namespace
 
 std::vector<TaskEvent> JobHistoryLog::for_job(std::uint32_t job_id) const {
@@ -115,7 +132,7 @@ bool JobHistoryLog::task_active_on(std::uint32_t job_id, net::NodeId node, doubl
 }
 
 util::CsvTable JobHistoryLog::to_csv() const {
-  util::CsvTable table({"time", "job_id", "kind", "node", "task_index"});
+  util::CsvTable table(std::vector<std::string>(std::begin(kColumns), std::end(kColumns)));
   for (const auto& e : events_) {
     table.add_row({util::format("%.9f", e.time), std::to_string(e.job_id),
                    task_event_kind_name(e.kind), std::to_string(e.node),
@@ -124,15 +141,17 @@ util::CsvTable JobHistoryLog::to_csv() const {
   return table;
 }
 
-JobHistoryLog JobHistoryLog::from_csv(const util::CsvTable& table) {
+JobHistoryLog JobHistoryLog::from_csv(const util::CsvTable& table, const std::string& source) {
+  util::CsvRowReader row(table, source, kColumns);
   JobHistoryLog log;
   for (std::size_t i = 0; i < table.num_rows(); ++i) {
+    row.seek(i);
     TaskEvent e;
-    e.time = table.cell_double(i, "time");
-    e.job_id = static_cast<std::uint32_t>(table.cell_int(i, "job_id"));
-    e.kind = kind_from_name(table.cell(i, "kind"));
-    e.node = static_cast<net::NodeId>(table.cell_int(i, "node"));
-    e.task_index = static_cast<std::uint32_t>(table.cell_int(i, "task_index"));
+    e.time = row.number("time");
+    e.job_id = static_cast<std::uint32_t>(row.integer("job_id", 0xffffffffu));
+    e.kind = read_kind(row);
+    e.node = read_node(row);
+    e.task_index = static_cast<std::uint32_t>(row.integer("task_index", 0xffffffffu));
     log.add(e);
   }
   return log;
@@ -141,7 +160,7 @@ JobHistoryLog JobHistoryLog::from_csv(const util::CsvTable& table) {
 void JobHistoryLog::save(const std::string& path) const { to_csv().save(path); }
 
 JobHistoryLog JobHistoryLog::load(const std::string& path) {
-  return from_csv(util::CsvTable::load(path));
+  return from_csv(util::CsvTable::load(path), path);
 }
 
 }  // namespace keddah::hadoop

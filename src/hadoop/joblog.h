@@ -64,8 +64,15 @@ class JobHistoryLog {
 
   /// CSV persistence (columns: time, job_id, kind, node, task_index).
   util::CsvTable to_csv() const;
-  static JobHistoryLog from_csv(const util::CsvTable& table);
+  /// Reads rows through util::CsvRowReader and rejects each defect as
+  /// `source: row N: column: message`: a time that is not finite and
+  /// >= 0, a job_id or task_index outside uint32, a node that is neither
+  /// an id below capture::Trace::kMaxCsvNodes nor kInvalidNode, an unknown
+  /// event kind, or a missing column.
+  static JobHistoryLog from_csv(const util::CsvTable& table,
+                                const std::string& source = "history");
   void save(const std::string& path) const;
+  /// Loads a CSV file; errors name `path`.
   static JobHistoryLog load(const std::string& path);
 
  private:

@@ -1,11 +1,7 @@
 #include "keddah/scenario.h"
 
-#include <memory>
-#include <stdexcept>
-
 #include "hadoop/config_json.h"
 #include "hadoop/faults.h"
-#include "util/log.h"
 #include "util/strings.h"
 
 namespace keddah::core {
@@ -20,9 +16,9 @@ void read_spec_version(util::JsonReader& reader) {
 
 namespace {
 
-ScenarioSpec::JobEntry parse_job(const util::Json& doc, const std::string& key, double horizon,
-                                 util::Diagnostics& diagnostics) {
-  ScenarioSpec::JobEntry job;
+workloads::JobEntry parse_job(const util::Json& doc, const std::string& key, double horizon,
+                              util::Diagnostics& diagnostics) {
+  workloads::JobEntry job;
   util::JsonReader r(doc, key, diagnostics);
   if (!r.expect_object("must be an object")) return job;
   const util::Json* workload = r.find("workload");
@@ -101,69 +97,9 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec) {
   capture::CollectorOptions capture_options;
   capture_options.spill_dir = spec.spill_dir;
   hadoop::HadoopCluster cluster(spec.cluster, spec.seed, capture_options);
-  ScenarioOutcome outcome;
-
-  // Total completions expected = sum of iterations across entries.
-  std::size_t expected = 0;
-  for (const auto& job : spec.jobs) expected += job.iterations;
-
   cluster.schedule_fault_plan(spec.faults);
-
-  std::size_t done = 0;
-  cluster.control().enable();
-
-  // Iterative chains submit their next round from the completion callback;
-  // the chain state lives in a shared context per entry.
-  struct Chain {
-    workloads::Workload workload;
-    std::size_t reducers;
-    std::size_t remaining;
-    std::size_t total;
-    std::size_t index;
-  };
-  // submit_round is recursive through job completions; break the lambda
-  // self-reference by storing it in a shared holder cleared at the end.
-  auto submit_round = std::make_shared<
-      std::function<void(std::shared_ptr<Chain>, std::vector<std::string>)>>();
-  *submit_round = [&cluster, &outcome, &done, &expected, submit_round](
-                      std::shared_ptr<Chain> chain, std::vector<std::string> inputs) {
-    hadoop::JobSpec job_spec;
-    job_spec.profile = workloads::profile(chain->workload);
-    job_spec.profile.name =
-        util::format("%s_j%zu_i%zu", workloads::workload_name(chain->workload), chain->index,
-                     chain->total - chain->remaining);
-    job_spec.input_file = inputs.front();
-    job_spec.extra_inputs.assign(inputs.begin() + 1, inputs.end());
-    job_spec.num_reducers = chain->reducers;
-    cluster.runner().submit(job_spec, [&cluster, &outcome, &done, &expected, submit_round,
-                                       chain](const hadoop::JobResult& result) {
-      outcome.results.push_back(result);
-      ++done;
-      if (--chain->remaining > 0 && !result.output_files.empty()) {
-        (*submit_round)(chain, result.output_files);
-      }
-      if (done == expected) cluster.control().disable();
-    });
-  };
-
-  for (std::size_t i = 0; i < spec.jobs.size(); ++i) {
-    const auto& entry = spec.jobs[i];
-    const std::string input = cluster.ensure_input(entry.input_bytes);
-    auto chain = std::make_shared<Chain>();
-    chain->workload = entry.workload;
-    chain->reducers = entry.num_reducers == 0 ? workloads::default_reducers(entry.input_bytes)
-                                              : entry.num_reducers;
-    chain->remaining = entry.iterations;
-    chain->total = entry.iterations;
-    chain->index = i;
-    cluster.simulator().schedule_at(entry.submit_at, [submit_round, chain, input] {
-      (*submit_round)(chain, {input});
-    });
-  }
-
-  cluster.simulator().run();
-  if (done != expected) throw std::logic_error("scenario: not every job completed");
-  *submit_round = nullptr;  // break the self-reference cycle
+  ScenarioOutcome outcome;
+  outcome.results = workloads::run_jobs(cluster, spec.jobs);
   if (cluster.collector().spilling()) {
     cluster.collector().finalize_spill();
     outcome.spilled_records = cluster.collector().spilled();
@@ -178,7 +114,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec) {
 }
 
 std::vector<ScenarioOutcome> run_scenarios(std::span<const ScenarioSpec> specs,
-                                           std::size_t threads, SweepProgress progress) {
+                                           std::size_t threads) {
   if (threads == 0) {
     // No caller override: honour the specs' own thread budgets. Several
     // specs may disagree; the sweep is one pool, so take the largest.
@@ -186,7 +122,7 @@ std::vector<ScenarioOutcome> run_scenarios(std::span<const ScenarioSpec> specs,
       if (spec.threads > threads) threads = spec.threads;
     }
   }
-  SweepRunner runner({.threads = threads, .progress = std::move(progress)});
+  SweepRunner runner({.threads = threads});
   return runner.map(specs.size(), [&](std::size_t i) { return run_scenario(specs[i]); });
 }
 

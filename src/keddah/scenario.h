@@ -54,7 +54,7 @@
 #include "hadoop/joblog.h"
 #include "util/json.h"
 #include "util/json_reader.h"
-#include "workloads/profiles.h"
+#include "workloads/suite.h"
 
 namespace keddah::core {
 
@@ -66,14 +66,7 @@ struct ScenarioSpec {
   /// (core::run_scenarios); 0 = hardware concurrency.
   std::size_t threads = 0;
 
-  struct JobEntry {
-    workloads::Workload workload = workloads::Workload::kSort;
-    std::uint64_t input_bytes = 0;
-    std::size_t num_reducers = 0;  // 0 = auto
-    double submit_at = 0.0;
-    std::size_t iterations = 1;
-  };
-  std::vector<JobEntry> jobs;
+  std::vector<workloads::JobEntry> jobs;
 
   /// Scripted faults ("faults" array; legacy "failures" entries become crash
   /// events). Worker indices are validated against the cluster size at parse
@@ -132,7 +125,8 @@ struct ScenarioOutcome {
   std::string spill_path;
 };
 
-/// Builds the cluster and runs the whole scenario to completion.
+/// Builds the cluster, schedules the faults and runs the jobs through
+/// workloads::run_jobs to completion.
 ScenarioOutcome run_scenario(const ScenarioSpec& spec);
 
 /// Fans a batch of scenarios out across cores (core::SweepRunner) and
@@ -140,6 +134,6 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec);
 /// `threads` field among the specs (which itself defaults to 0 = hardware
 /// concurrency). Backs `keddah run-scenario --file a.json,b.json --threads N`.
 std::vector<ScenarioOutcome> run_scenarios(std::span<const ScenarioSpec> specs,
-                                           std::size_t threads = 0, SweepProgress progress = {});
+                                           std::size_t threads = 0);
 
 }  // namespace keddah::core

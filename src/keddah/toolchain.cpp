@@ -99,7 +99,7 @@ ValidationReport validate_model(const model::KeddahModel& model,
   const net::Topology topology = config.build_topology();
 
   const std::size_t repetitions = spec.repetitions == 0 ? 1 : spec.repetitions;
-  SweepRunner runner({.threads = spec.threads, .progress = spec.progress});
+  SweepRunner runner({.threads = spec.threads});
   const auto reports = runner.map(repetitions, [&](std::size_t rep) {
     ReproduceSpec reproduce;
     reproduce.scenario = scenario;

@@ -43,6 +43,8 @@ struct CaptureSpec {
   /// Worker threads for the size x repetition sweep; 0 = hardware
   /// concurrency. Results are identical at any value.
   std::size_t threads = 0;
+  /// Called after each captured run as (done, total); runs arrive in order
+  /// when threads == 1, so a caller can time each emulated job.
   SweepProgress progress;
   /// Optional fault plan injected into every captured run, so models can be
   /// trained on traffic as it looks under faults (retries, reruns, repair).
@@ -91,7 +93,6 @@ struct ValidateSpec {
   /// Worker threads for the repetition sweep; 0 = hardware concurrency.
   std::size_t threads = 0;
   gen::GeneratorOptions gen_options;
-  SweepProgress progress;
 };
 
 /// End-to-end validation: reproduces at the reference run's scale on the

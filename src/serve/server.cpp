@@ -563,17 +563,15 @@ void Server::stop() { http_.stop(); }
 int run_serve_command(const util::Args& args, std::ostream& out, std::ostream& err) {
   ServeOptions options;
   options.port = static_cast<std::uint16_t>(args.get_int("port", 0));
-  options.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  options.threads = args.get_count("threads", 0);
   options.model_bank_file = args.get("model-bank", "");
-  options.max_resident_models = static_cast<std::size_t>(args.get_int("max-models", 8));
-  options.max_cache_entries = static_cast<std::size_t>(args.get_int("cache-entries", 128));
+  options.max_resident_models = args.get_count("max-models", 8);
+  options.max_cache_entries = args.get_count("cache-entries", 128);
   options.request_timeout_ms = args.get_int("request-timeout", options.request_timeout_ms);
   options.header_timeout_ms = args.get_int("header-timeout", options.header_timeout_ms);
   options.drain_timeout_ms = args.get_int("drain-timeout", options.drain_timeout_ms);
-  options.queue_depth = static_cast<std::size_t>(
-      args.get_int("queue-depth", static_cast<std::int64_t>(options.queue_depth)));
-  options.max_pending = static_cast<std::size_t>(
-      args.get_int("max-pending", static_cast<std::int64_t>(options.max_pending)));
+  options.queue_depth = args.get_count("queue-depth", options.queue_depth);
+  options.max_pending = args.get_count("max-pending", options.max_pending);
   const std::string policy = args.get("overload-policy", "shed");
   for (const auto& path : util::split(args.get("models", ""), ',')) {
     if (!path.empty()) options.model_files.push_back(path);

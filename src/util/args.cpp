@@ -1,5 +1,6 @@
 #include "util/args.h"
 
+#include <charconv>
 #include <stdexcept>
 
 #include "util/strings.h"
@@ -65,12 +66,21 @@ std::int64_t Args::get_int(const std::string& key, std::int64_t fallback) const 
   accessed_[key] = true;
   const auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (...) {
-    throw std::invalid_argument("args: --" + key + " expects an integer, got '" + it->second +
-                                "'");
+  const std::string& text = it->second;
+  std::int64_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    throw UsageError("args: --" + key + " expects an integer, got '" + text + "'");
   }
+  return value;
+}
+
+std::size_t Args::get_count(const std::string& key, std::size_t fallback) const {
+  const std::int64_t value = get_int(key, static_cast<std::int64_t>(fallback));
+  if (value < 0) {
+    throw UsageError("args: --" + key + " expects a count >= 0, got '" + flags_.at(key) + "'");
+  }
+  return static_cast<std::size_t>(value);
 }
 
 std::uint64_t Args::get_bytes(const std::string& key, std::uint64_t fallback) const {

@@ -39,7 +39,14 @@ class Args {
 
   /// Numeric flags; throw std::invalid_argument on unparsable values.
   double get_double(const std::string& key, double fallback) const;
+
+  /// Whole decimal integer flag; trailing junk ("2abc", "1e3") is a
+  /// UsageError naming the flag.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+
+  /// Count flag (repetitions, reducers, hosts, threads, ...): get_int that
+  /// also rejects negatives with a UsageError naming the flag.
+  std::size_t get_count(const std::string& key, std::size_t fallback) const;
 
   /// Byte-size flag ("2GB", "64MB", "4096"); throws on unparsable values.
   std::uint64_t get_bytes(const std::string& key, std::uint64_t fallback) const;

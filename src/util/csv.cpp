@@ -55,14 +55,6 @@ std::size_t CsvTable::column(const std::string& name) const {
 
 bool CsvTable::has_column(const std::string& name) const { return index_.count(name) != 0; }
 
-double CsvTable::cell_double(std::size_t row, const std::string& col) const {
-  return std::stod(cell(row, col));
-}
-
-std::int64_t CsvTable::cell_int(std::size_t row, const std::string& col) const {
-  return std::stoll(cell(row, col));
-}
-
 void CsvTable::add_row(std::vector<std::string> row) {
   if (row.size() != header_.size()) {
     throw std::invalid_argument("csv: row width " + std::to_string(row.size()) +

@@ -43,9 +43,6 @@ class CsvTable {
     return rows_.at(row).at(column(col));
   }
 
-  double cell_double(std::size_t row, const std::string& col) const;
-  std::int64_t cell_int(std::size_t row, const std::string& col) const;
-
   /// Appends a row; must match the header width.
   void add_row(std::vector<std::string> row);
 

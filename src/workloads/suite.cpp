@@ -1,10 +1,58 @@
 #include "workloads/suite.h"
 
+#include <functional>
 #include <stdexcept>
 
 #include "util/log.h"
+#include "util/strings.h"
 
 namespace keddah::workloads {
+
+std::vector<hadoop::JobResult> run_jobs(hadoop::HadoopCluster& cluster,
+                                        std::span<const JobEntry> entries) {
+  // Total completions expected = sum of iterations across entries.
+  std::size_t expected = 0;
+  for (const auto& entry : entries) {
+    if (entry.iterations == 0) throw std::invalid_argument("run_jobs: need >= 1 iteration");
+    expected += entry.iterations;
+  }
+  std::vector<hadoop::JobResult> results;
+  if (expected == 0) return results;
+  results.reserve(expected);
+
+  // Ingest every input before time starts.
+  std::vector<std::string> inputs;
+  inputs.reserve(entries.size());
+  for (const auto& entry : entries) inputs.push_back(cluster.ensure_input(entry.input_bytes));
+
+  // Submits round `round` of entry `j` reading `files`; its completion
+  // submits the next round on the part files it wrote.
+  std::function<void(std::size_t, std::size_t, const std::vector<std::string>&)> submit =
+      [&](std::size_t j, std::size_t round, const std::vector<std::string>& files) {
+        const JobEntry& entry = entries[j];
+        hadoop::JobSpec spec = make_spec(
+            entry.workload, files.front(),
+            entry.num_reducers == 0 ? default_reducers(entry.input_bytes) : entry.num_reducers);
+        spec.profile.name = util::format("%s_j%zu_i%zu", workload_name(entry.workload), j, round);
+        spec.extra_inputs.assign(files.begin() + 1, files.end());
+        cluster.runner().submit(spec, [&, j, round](const hadoop::JobResult& result) {
+          results.push_back(result);
+          if (round + 1 < entries[j].iterations && !result.output_files.empty()) {
+            submit(j, round + 1, result.output_files);
+          }
+          if (results.size() == expected) cluster.control().disable();
+        });
+      };
+
+  cluster.control().enable();
+  for (std::size_t j = 0; j < entries.size(); ++j) {
+    cluster.simulator().schedule_at(entries[j].submit_at,
+                                    [&submit, &inputs, j] { submit(j, 0, {inputs[j]}); });
+  }
+  cluster.simulator().run();
+  if (results.size() != expected) throw std::logic_error("run_jobs: not every job completed");
+  return results;
+}
 
 RunOutcome run_single(const hadoop::ClusterConfig& config, Workload workload,
                       std::uint64_t input_bytes, std::size_t num_reducers, std::uint64_t seed,
@@ -16,10 +64,9 @@ RunOutcome run_single(const hadoop::ClusterConfig& config, Workload workload,
   outcome.num_reducers = num_reducers == 0 ? default_reducers(input_bytes) : num_reducers;
 
   hadoop::HadoopCluster cluster(config, seed);
-  const std::string input = cluster.ensure_input(input_bytes);
   cluster.schedule_fault_plan(faults);
-  const auto spec = make_spec(workload, input, outcome.num_reducers);
-  outcome.result = cluster.run_job(spec);
+  const JobEntry entry{workload, input_bytes, outcome.num_reducers};
+  outcome.result = run_jobs(cluster, std::span(&entry, 1)).front();
   outcome.faults = cluster.fault_stats();
   outcome.trace = cluster.take_trace();
   KLOG_INFO << "run " << workload_name(workload) << " input=" << input_bytes
@@ -28,50 +75,14 @@ RunOutcome run_single(const hadoop::ClusterConfig& config, Workload workload,
   return outcome;
 }
 
-MixOutcome run_mix(const hadoop::ClusterConfig& config, std::span<const MixJob> jobs,
-                   std::uint64_t seed) {
-  MixOutcome outcome;
-  outcome.results.resize(jobs.size());
-  outcome.job_ids.resize(jobs.size());
-  if (jobs.empty()) return outcome;
-
-  hadoop::HadoopCluster cluster(config, seed);
-  // Ingest every distinct input before time starts.
-  std::vector<std::string> inputs;
-  inputs.reserve(jobs.size());
-  for (const auto& job : jobs) inputs.push_back(cluster.ensure_input(job.input_bytes));
-
-  std::size_t done = 0;
-  cluster.control().enable();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto spec = make_spec(jobs[i].workload, inputs[i],
-                                jobs[i].num_reducers == 0
-                                    ? default_reducers(jobs[i].input_bytes)
-                                    : jobs[i].num_reducers);
-    cluster.simulator().schedule_at(jobs[i].submit_at, [&cluster, &outcome, &done, spec, i,
-                                                        total = jobs.size()] {
-      outcome.job_ids[i] =
-          cluster.runner().submit(spec, [&outcome, &done, i, total, &cluster](
-                                            const hadoop::JobResult& result) {
-            outcome.results[i] = result;
-            if (++done == total) cluster.control().disable();
-          });
-    });
-  }
-  cluster.simulator().run();
-  if (done != jobs.size()) throw std::logic_error("run_mix: not all jobs completed");
-  outcome.trace = cluster.take_trace();
-  return outcome;
-}
-
-std::vector<MixJob> sample_poisson_mix(const PoissonMixSpec& spec, util::Rng& rng) {
+std::vector<JobEntry> sample_poisson_mix(const PoissonMixSpec& spec, util::Rng& rng) {
   if (spec.workloads.empty() || spec.input_sizes.empty() || spec.arrival_rate <= 0.0) {
     throw std::invalid_argument("poisson mix: need workloads, sizes, positive rate");
   }
-  std::vector<MixJob> jobs;
+  std::vector<JobEntry> jobs;
   double t = rng.exponential(spec.arrival_rate);
   while (t < spec.horizon_s && (spec.max_jobs == 0 || jobs.size() < spec.max_jobs)) {
-    MixJob job;
+    JobEntry job;
     job.workload = spec.workloads[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(spec.workloads.size()) - 1))];
     job.input_bytes = spec.input_sizes[static_cast<std::size_t>(
@@ -81,28 +92,6 @@ std::vector<MixJob> sample_poisson_mix(const PoissonMixSpec& spec, util::Rng& rn
     t += rng.exponential(spec.arrival_rate);
   }
   return jobs;
-}
-
-std::vector<hadoop::JobResult> run_iterative(hadoop::HadoopCluster& cluster, Workload workload,
-                                             const std::string& initial_input,
-                                             std::size_t iterations,
-                                             std::size_t num_reducers) {
-  if (iterations == 0) throw std::invalid_argument("run_iterative: need >= 1 iteration");
-  std::vector<hadoop::JobResult> results;
-  results.reserve(iterations);
-  std::vector<std::string> inputs = {initial_input};
-  for (std::size_t i = 0; i < iterations; ++i) {
-    hadoop::JobSpec spec;
-    spec.profile = profile(workload);
-    spec.profile.name = std::string(workload_name(workload)) + "_iter" + std::to_string(i);
-    spec.input_file = inputs.front();
-    spec.extra_inputs.assign(inputs.begin() + 1, inputs.end());
-    spec.num_reducers = num_reducers;
-    results.push_back(cluster.run_job(spec));
-    inputs = results.back().output_files;
-    if (inputs.empty()) throw std::logic_error("run_iterative: iteration produced no output");
-  }
-  return results;
 }
 
 std::vector<RunOutcome> run_grid(const hadoop::ClusterConfig& config,

@@ -15,6 +15,34 @@
 
 namespace keddah::workloads {
 
+/// One job submission: a single job, one job of a concurrent mix, or the
+/// head of an iterative chain.
+struct JobEntry {
+  Workload workload = Workload::kSort;
+  std::uint64_t input_bytes = 0;
+  /// 0 selects default_reducers(input_bytes).
+  std::size_t num_reducers = 0;
+  /// Submission time, seconds from simulation start.
+  double submit_at = 0.0;
+  /// > 1 chains each round's output part files into the next round's input
+  /// (PageRank/KMeans style); round k+1 is submitted when round k completes.
+  std::size_t iterations = 1;
+};
+
+/// The one place jobs are submitted. Ingests every entry's input, enables
+/// the control plane, submits each entry at its `submit_at`, chains its
+/// iterations from completion callbacks, and runs `cluster`'s simulator
+/// until every job has completed (the control plane is then disabled, so
+/// the simulator drains). Faults must already be scheduled on the cluster.
+/// Returns one result per job (iterations expand), in completion order; job
+/// names read "<workload>_j<entry>_i<iteration>". Throws
+/// std::invalid_argument on an entry with 0 iterations and std::logic_error
+/// when the simulator drains before every job completed. Pending callbacks
+/// refer to this call's locals, so after a throw from inside the run the
+/// cluster must not be run again.
+std::vector<hadoop::JobResult> run_jobs(hadoop::HadoopCluster& cluster,
+                                        std::span<const JobEntry> entries);
+
 /// One captured job run.
 struct RunOutcome {
   Workload workload = Workload::kSort;
@@ -48,30 +76,6 @@ std::vector<RunOutcome> run_grid(const hadoop::ClusterConfig& config,
                                  std::size_t threads = 1, core::SweepProgress progress = {},
                                  const hadoop::FaultPlan& faults = {});
 
-/// One job of a concurrent mix.
-struct MixJob {
-  Workload workload = Workload::kSort;
-  std::uint64_t input_bytes = 0;
-  /// 0 selects default_reducers(input_bytes).
-  std::size_t num_reducers = 0;
-  /// Submission time, seconds from simulation start.
-  double submit_at = 0.0;
-};
-
-/// A captured concurrent-jobs run: per-job results (in MixJob order) plus
-/// the single cluster-wide trace (jobs distinguishable via job_id).
-struct MixOutcome {
-  std::vector<hadoop::JobResult> results;
-  /// job id assigned to each MixJob, in order.
-  std::vector<std::uint32_t> job_ids;
-  capture::Trace trace;
-};
-
-/// Runs several jobs CONCURRENTLY on one cluster (contending for containers
-/// and bandwidth), submitting each at its `submit_at` time.
-MixOutcome run_mix(const hadoop::ClusterConfig& config, std::span<const MixJob> jobs,
-                   std::uint64_t seed);
-
 /// Cluster-load description for sampled mixes: each arrival draws a
 /// workload uniformly from `workloads` and an input size uniformly from
 /// `input_sizes`.
@@ -88,14 +92,6 @@ struct PoissonMixSpec {
 
 /// Samples a Poisson-arrival job mix (the "realistic scenario" load shape:
 /// memoryless job submissions, as in production cluster traces).
-std::vector<MixJob> sample_poisson_mix(const PoissonMixSpec& spec, util::Rng& rng);
-
-/// Runs an ITERATIVE workload (PageRank/KMeans style): iteration k+1 reads
-/// iteration k's output part files as its input. Returns one result per
-/// iteration, all captured in the cluster's single trace. The cluster must
-/// already hold the initial input file.
-std::vector<hadoop::JobResult> run_iterative(hadoop::HadoopCluster& cluster, Workload workload,
-                                             const std::string& initial_input,
-                                             std::size_t iterations, std::size_t num_reducers);
+std::vector<JobEntry> sample_poisson_mix(const PoissonMixSpec& spec, util::Rng& rng);
 
 }  // namespace keddah::workloads

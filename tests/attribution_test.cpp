@@ -134,33 +134,12 @@ TEST(Attribution, ControlFlowsLeftUnattributed) {
 TEST(Attribution, SeparatesConcurrentJobs) {
   // Two overlapping jobs: attribution must tell their flows apart from
   // timing + placement alone.
-  const std::vector<kw::MixJob> jobs = {
+  const std::vector<kw::JobEntry> jobs = {
       {kw::Workload::kSort, 512 * kMiB, 4, 0.0},
       {kw::Workload::kWordCount, 512 * kMiB, 4, 3.0},
   };
-  // run_mix builds its own cluster; rebuild the same thing manually so we
-  // can reach the history log.
   kh::HadoopCluster cluster(test_config(), 407);
-  const auto input_a = cluster.ensure_input(512 * kMiB);
-  std::size_t done = 0;
-  cluster.control().enable();
-  std::vector<kh::JobResult> results(2);
-  cluster.simulator().schedule_at(0.0, [&] {
-    cluster.runner().submit(kw::make_spec(kw::Workload::kSort, input_a, 4),
-                            [&](const kh::JobResult& r) {
-                              results[0] = r;
-                              if (++done == 2) cluster.control().disable();
-                            });
-  });
-  cluster.simulator().schedule_at(3.0, [&] {
-    cluster.runner().submit(kw::make_spec(kw::Workload::kWordCount, input_a, 4),
-                            [&](const kh::JobResult& r) {
-                              results[1] = r;
-                              if (++done == 2) cluster.control().disable();
-                            });
-  });
-  cluster.simulator().run();
-  ASSERT_EQ(done, 2u);
+  ASSERT_EQ(kw::run_jobs(cluster, jobs).size(), 2u);
   const auto trace = cluster.take_trace();
   const auto attribution = kh::attribute_flows(trace, cluster.history());
   EXPECT_GT(attribution.precision(), 0.85);
@@ -171,7 +150,6 @@ TEST(Attribution, SeparatesConcurrentJobs) {
     if (id != 0) seen.insert(id);
   }
   EXPECT_EQ(seen.size(), 2u);
-  (void)jobs;
 }
 
 TEST(Attribution, EmptyInputs) {

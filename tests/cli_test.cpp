@@ -334,6 +334,57 @@ TEST(Cli, ReplayRejectsMalformedScheduleFixtures) {
   EXPECT_GE(fixtures, 7u);
 }
 
+// analyze --history exits 1 on every malformed job-history fixture, naming
+// "path: row N: column: message" before printing any analysis.
+TEST(Cli, AnalyzeRejectsMalformedHistoryFixtures) {
+  const std::string trace_path = temp_path("cli_history_trace.csv");
+  std::ofstream(trace_path)
+      << "src,dst,src_id,dst_id,src_port,dst_port,bytes,start,end,job_id,truth\n"
+         "h1,h2,1,2,13562,40000,1000.000,0.500000000,1.500000000,1,shuffle\n";
+  std::size_t fixtures = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(KEDDAH_HISTORY_FIXTURES)) {
+    const std::string path = entry.path().string();
+    std::ifstream in(path);
+    std::string first;
+    std::getline(in, first);
+    const auto result = run_cli({"analyze", "--trace", trace_path, "--history", path});
+    EXPECT_EQ(result.code, 1) << path;
+    EXPECT_EQ(result.err, "error: " + path + ": " + first.substr(first.find(": ") + 2) + "\n");
+    EXPECT_EQ(result.out, "") << path;
+    ++fixtures;
+  }
+  EXPECT_GE(fixtures, 9u);
+  std::filesystem::remove(trace_path);
+}
+
+// The hotspot matrix stores only the pairs that carry bytes: one flow to
+// the largest node id a trace may use analyzes like any other.
+TEST(Cli, AnalyzeLargestNodeIdTrace) {
+  const std::string trace_path = temp_path("cli_sparse_trace.csv");
+  std::ofstream(trace_path)
+      << "src,dst,src_id,dst_id,src_port,dst_port,bytes,start,end,job_id,truth\n"
+         "h0,hmax,0,1048575,13562,40000,1000.000,0.500000000,1.500000000,1,shuffle\n";
+  const auto result = run_cli({"analyze", "--trace", trace_path});
+  ASSERT_EQ(result.code, 0) << result.err;
+  EXPECT_NE(result.out.find("hotspot factor"), std::string::npos);
+  EXPECT_NE(result.out.find("1048575"), std::string::npos) << result.out;
+  std::filesystem::remove(trace_path);
+}
+
+// Count flags are whole numbers >= 0: junk and negatives are usage errors
+// naming the flag, caught before anything runs.
+TEST(Cli, CountFlagsAreStrict) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--reducers", "1e3"}, {"--reps", "2abc"}, {"--reps", "-1"}, {"--reducers", "-1"}};
+  for (const auto& [flag, value] : cases) {
+    const auto result = run_cli({"capture", "--job", "sort", "--input", "64MB", flag, value});
+    EXPECT_EQ(result.code, 2) << flag << " " << value;
+    EXPECT_NE(result.err.find(flag + " expects"), std::string::npos) << result.err;
+    EXPECT_NE(result.err.find("'" + value + "'"), std::string::npos) << result.err;
+    EXPECT_EQ(result.out, "");
+  }
+}
+
 TEST(Cli, CalibrateEstimatesSelectivities) {
   const std::string run_base = temp_path("cli_cal_run");
   auto result = run_cli({"capture", "--job", "sort", "--input", "512MB", "--out", run_base,

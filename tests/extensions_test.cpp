@@ -94,9 +94,10 @@ TEST(PoissonMix, RunnableEndToEnd) {
   cfg.racks = 2;
   cfg.hosts_per_rack = 4;
   cfg.block_size = 64ull << 20;
-  const auto mix = kw::run_mix(cfg, jobs, 7);
-  EXPECT_EQ(mix.results.size(), jobs.size());
-  for (const auto& r : mix.results) EXPECT_GT(r.duration(), 0.0);
+  keddah::hadoop::HadoopCluster cluster(cfg, 7);
+  const auto results = kw::run_jobs(cluster, jobs);
+  EXPECT_EQ(results.size(), jobs.size());
+  for (const auto& r : results) EXPECT_GT(r.duration(), 0.0);
 }
 
 TEST(ScheduleCsv, RoundTrip) {

@@ -198,9 +198,9 @@ TEST(JobRunner, ControlPlaneQuietBetweenJobs) {
 TEST(JobRunner, SequentialJobsProduceIndependentResults) {
   kh::HadoopCluster cluster(test_config(), 53);
   const auto input = cluster.ensure_input(256 * kMiB);
-  const auto results = cluster.run_jobs({kw::make_spec(kw::Workload::kSort, input, 4),
-                                         kw::make_spec(kw::Workload::kGrep, input, 4)});
-  ASSERT_EQ(results.size(), 2u);
+  const std::vector<kh::JobResult> results = {
+      cluster.run_job(kw::make_spec(kw::Workload::kSort, input, 4)),
+      cluster.run_job(kw::make_spec(kw::Workload::kGrep, input, 4))};
   EXPECT_NE(results[0].job_id, results[1].job_id);
   EXPECT_GE(results[1].submit_time, results[0].end_time);
   EXPECT_EQ(results[0].job_name, "sort");

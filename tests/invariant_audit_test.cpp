@@ -16,7 +16,7 @@
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "util/check.h"
-#include "workloads/profiles.h"
+#include "workloads/suite.h"
 
 namespace kc = keddah::core;
 namespace kh = keddah::hadoop;
@@ -33,38 +33,17 @@ std::string scenario_path(const std::string& name) {
   return std::string(KEDDAH_EXAMPLE_SCENARIOS) + "/" + name;
 }
 
-/// Runs every job of a scenario spec on a directly owned cluster, so the
-/// test can audit the network afterwards (run_scenario hides its cluster).
-void run_jobs(kh::HadoopCluster& cluster, const kc::ScenarioSpec& spec) {
-  cluster.schedule_fault_plan(spec.faults);
-  cluster.control().enable();
-  std::size_t done = 0;
-  const std::size_t expected = spec.jobs.size();
-  for (const auto& entry : spec.jobs) {
-    const std::string input = cluster.ensure_input(entry.input_bytes);
-    cluster.simulator().schedule_at(entry.submit_at, [&, input, entry] {
-      kh::JobSpec job;
-      job.profile = kw::profile(entry.workload);
-      job.input_file = input;
-      job.num_reducers = entry.num_reducers == 0 ? kw::default_reducers(entry.input_bytes)
-                                                 : entry.num_reducers;
-      cluster.runner().submit(job, [&](const kh::JobResult&) {
-        if (++done == expected) cluster.control().disable();
-      });
-    });
-  }
-  cluster.simulator().run();
-  ASSERT_EQ(done, expected);
-}
-
 }  // namespace
 
 TEST(InvariantAudit, ByteConservationHoldsAcrossScenarios) {
   for (const auto& name : kScenarios) {
     SCOPED_TRACE(name);
     const auto spec = kc::load_scenario(scenario_path(name));
+    // run_scenario's steps on a directly owned cluster, so the test can
+    // audit the network afterwards (run_scenario hides its cluster).
     kh::HadoopCluster cluster(spec.cluster, spec.seed);
-    run_jobs(cluster, spec);
+    cluster.schedule_fault_plan(spec.faults);
+    kw::run_jobs(cluster, spec.jobs);
 
     auto& net = cluster.network();
     EXPECT_NO_THROW(net.audit_conservation());

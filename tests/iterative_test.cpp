@@ -77,13 +77,13 @@ TEST(JobOutputs, MapOnlyJobListsMapParts) {
 
 TEST(Iterative, ChainsOutputsAsInputs) {
   kh::HadoopCluster cluster(test_config(), 309);
-  const auto input = cluster.ensure_input(256 * kMiB);
-  const auto results = kw::run_iterative(cluster, kw::Workload::kPageRank, input, 3, 4);
+  const kw::JobEntry chain{kw::Workload::kPageRank, 256 * kMiB, 4, 0.0, 3};
+  const auto results = kw::run_jobs(cluster, std::span(&chain, 1));
   ASSERT_EQ(results.size(), 3u);
   // PageRank iteration shape: out = 1.2 * 0.7 = 0.84x input per iteration.
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_GT(results[i].output_bytes, 0u);
-    EXPECT_EQ(results[i].job_name, "pagerank_iter" + std::to_string(i));
+    EXPECT_EQ(results[i].job_name, "pagerank_j0_i" + std::to_string(i));
     if (i > 0) {
       // Iteration i's input is iteration i-1's output.
       EXPECT_EQ(results[i].input_bytes, results[i - 1].output_bytes);
@@ -102,25 +102,24 @@ TEST(Iterative, ChainsOutputsAsInputs) {
 
 TEST(Iterative, SingleIterationMatchesPlainJob) {
   kh::HadoopCluster cluster(test_config(), 311);
-  const auto input = cluster.ensure_input(256 * kMiB);
-  const auto results = kw::run_iterative(cluster, kw::Workload::kSort, input, 1, 4);
+  const kw::JobEntry chain{kw::Workload::kSort, 256 * kMiB, 4, 0.0, 1};
+  const auto results = kw::run_jobs(cluster, std::span(&chain, 1));
   ASSERT_EQ(results.size(), 1u);
   EXPECT_NEAR(static_cast<double>(results[0].output_bytes), 256.0 * kMiB, 1e5);
 }
 
 TEST(Iterative, ZeroIterationsThrows) {
   kh::HadoopCluster cluster(test_config(), 313);
-  const auto input = cluster.ensure_input(64 * kMiB);
-  EXPECT_THROW(kw::run_iterative(cluster, kw::Workload::kSort, input, 0, 2),
-               std::invalid_argument);
+  const kw::JobEntry chain{kw::Workload::kSort, 64 * kMiB, 2, 0.0, 0};
+  EXPECT_THROW(kw::run_jobs(cluster, std::span(&chain, 1)), std::invalid_argument);
 }
 
 TEST(Iterative, ManySmallPartsStillScheduleLocally) {
   // Iteration 2 reads 4 small part files; locality machinery must handle
   // many single-block files.
   kh::HadoopCluster cluster(test_config(), 315);
-  const auto input = cluster.ensure_input(512 * kMiB);
-  const auto results = kw::run_iterative(cluster, kw::Workload::kSort, input, 2, 4);
+  const kw::JobEntry chain{kw::Workload::kSort, 512 * kMiB, 4, 0.0, 2};
+  const auto results = kw::run_jobs(cluster, std::span(&chain, 1));
   // Iteration 2: inputs are 4 parts of ~128 MB -> >= 4 maps.
   EXPECT_GE(results[1].num_maps, 4u);
   EXPECT_GE(results[1].maps_with_local_read, results[1].num_maps / 2);

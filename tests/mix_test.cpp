@@ -1,6 +1,8 @@
-// Tests for concurrent job mixes: emulated concurrency (run_mix) and
+// Tests for concurrent job mixes: emulated concurrency (run_jobs) and
 // synthetic mix composition (generate_mix).
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "gen/generator.h"
 #include "gen/replay.h"
@@ -38,34 +40,52 @@ std::vector<keddah::model::TrainingRun> capture_one(const kh::ClusterConfig& cfg
   return kc::capture_runs(cfg, spec);
 }
 
+struct Mix {
+  /// Per-job results in entry order.
+  std::vector<kh::JobResult> results;
+  keddah::capture::Trace trace;
+};
+
+// The jobs submitted concurrently on one fresh cluster.
+Mix run_concurrently(const std::vector<kw::JobEntry>& jobs, std::uint64_t seed) {
+  kh::HadoopCluster cluster(test_config(), seed);
+  Mix mix;
+  mix.results = kw::run_jobs(cluster, jobs);
+  // Job ids follow submission order, which is entry order in these tests.
+  std::ranges::sort(mix.results, {}, &kh::JobResult::job_id);
+  mix.trace = cluster.take_trace();
+  return mix;
+}
+
 }  // namespace
 
 TEST(RunMix, ConcurrentJobsAllComplete) {
-  const std::vector<kw::MixJob> jobs = {
+  const std::vector<kw::JobEntry> jobs = {
       {kw::Workload::kSort, 256 * kMiB, 4, 0.0},
       {kw::Workload::kGrep, 256 * kMiB, 2, 2.0},
       {kw::Workload::kWordCount, 128 * kMiB, 2, 4.0},
   };
-  const auto mix = kw::run_mix(test_config(), jobs, 101);
+  const auto mix = run_concurrently(jobs, 101);
   ASSERT_EQ(mix.results.size(), 3u);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_GE(mix.results[i].submit_time, jobs[i].submit_at - 1e-9);
     EXPECT_GT(mix.results[i].duration(), 0.0);
-    EXPECT_EQ(mix.job_ids[i], mix.results[i].job_id);
+    EXPECT_EQ(mix.results[i].job_name,
+              std::string(kw::workload_name(jobs[i].workload)) + "_j" + std::to_string(i) + "_i0");
   }
   // Distinct ids.
-  EXPECT_NE(mix.job_ids[0], mix.job_ids[1]);
-  EXPECT_NE(mix.job_ids[1], mix.job_ids[2]);
+  EXPECT_NE(mix.results[0].job_id, mix.results[1].job_id);
+  EXPECT_NE(mix.results[1].job_id, mix.results[2].job_id);
 }
 
 TEST(RunMix, TraceSeparableByJobId) {
-  const std::vector<kw::MixJob> jobs = {
+  const std::vector<kw::JobEntry> jobs = {
       {kw::Workload::kSort, 256 * kMiB, 4, 0.0},
       {kw::Workload::kGrep, 256 * kMiB, 2, 1.0},
   };
-  const auto mix = kw::run_mix(test_config(), jobs, 103);
-  const auto sort_trace = mix.trace.filter_job(mix.job_ids[0]);
-  const auto grep_trace = mix.trace.filter_job(mix.job_ids[1]);
+  const auto mix = run_concurrently(jobs, 103);
+  const auto sort_trace = mix.trace.filter_job(mix.results[0].job_id);
+  const auto grep_trace = mix.trace.filter_job(mix.results[1].job_id);
   EXPECT_GT(sort_trace.size(), 0u);
   EXPECT_GT(grep_trace.size(), 0u);
   // Sort shuffles far more than grep at the same input size.
@@ -78,18 +98,18 @@ TEST(RunMix, ContentionStretchesJobs) {
   // Two sorts fighting for 32 slots take longer than one alone.
   const auto solo =
       kw::run_single(test_config(), kw::Workload::kSort, 512 * kMiB, 4, 107).result.duration();
-  const std::vector<kw::MixJob> jobs = {
+  const std::vector<kw::JobEntry> jobs = {
       {kw::Workload::kSort, 512 * kMiB, 4, 0.0},
       {kw::Workload::kSort, 511 * kMiB, 4, 0.0},
   };
-  const auto mix = kw::run_mix(test_config(), jobs, 107);
+  const auto mix = run_concurrently(jobs, 107);
   const double slowest =
       std::max(mix.results[0].duration(), mix.results[1].duration());
   EXPECT_GT(slowest, solo);
 }
 
 TEST(RunMix, EmptyMixIsEmpty) {
-  const auto mix = kw::run_mix(test_config(), {}, 109);
+  const auto mix = run_concurrently({}, 109);
   EXPECT_TRUE(mix.results.empty());
   EXPECT_TRUE(mix.trace.empty());
 }

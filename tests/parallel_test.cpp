@@ -229,7 +229,7 @@ TEST(ParallelDeterminism, RunScenariosMatchesSerialRunScenario) {
     spec.cluster.block_size = 64ull << 20;
     spec.cluster.containers_per_node = 4;
     spec.seed = seed;
-    kc::ScenarioSpec::JobEntry job;
+    kw::JobEntry job;
     job.workload = kw::Workload::kSort;
     job.input_bytes = 128 * kMiB;
     spec.jobs.push_back(job);
@@ -257,7 +257,7 @@ TEST(ParallelDeterminism, FaultedScenarioReplaysIdenticallyAcrossThreadCounts) {
     spec.cluster.block_size = 64ull << 20;
     spec.cluster.containers_per_node = 4;
     spec.seed = seed;
-    kc::ScenarioSpec::JobEntry job;
+    kw::JobEntry job;
     job.workload = kw::Workload::kSort;
     job.input_bytes = 256 * kMiB;
     job.num_reducers = 4;
@@ -299,7 +299,7 @@ TEST(ParallelDeterminism, FaultedScenarioIdenticalAcrossThreadsInBothSchedulerMo
     spec.cluster.block_size = 64ull << 20;
     spec.cluster.containers_per_node = 4;
     spec.seed = seed;
-    kc::ScenarioSpec::JobEntry job;
+    kw::JobEntry job;
     job.workload = kw::Workload::kSort;
     job.input_bytes = 256 * kMiB;
     job.num_reducers = 4;

@@ -112,6 +112,38 @@ TEST(ScenarioRun, FailureInjectionTriggersRepair) {
   EXPECT_GT(outcome.rereplications, 0u);
 }
 
+// A capture run (run_single) and a one-entry scenario submit through the
+// same job engine, so they capture byte-identical traces, clean and under a
+// crash.
+TEST(ScenarioRun, OneEntryScenarioMatchesRunSingle) {
+  kh::ClusterConfig cfg;
+  cfg.racks = 2;
+  cfg.hosts_per_rack = 4;
+  cfg.block_size = 64ull << 20;
+  kh::FaultPlan crash;
+  crash.events.push_back({kh::FaultKind::kCrash, /*worker=*/3, /*at=*/4.0});
+  for (const auto& [seed, faults] : {std::pair{std::uint64_t{7}, kh::FaultPlan{}},
+                                     std::pair{std::uint64_t{20261017}, crash}}) {
+    SCOPED_TRACE(seed);
+    const auto single = kw::run_single(cfg, kw::Workload::kSort, 512ull << 20, 0, seed, faults);
+    kc::ScenarioSpec spec;
+    spec.cluster = cfg;
+    spec.seed = seed;
+    spec.faults = faults;
+    spec.jobs.push_back({kw::Workload::kSort, 512ull << 20});
+    const auto scenario = kc::run_scenario(spec);
+    ASSERT_EQ(scenario.results.size(), 1u);
+    EXPECT_EQ(single.faults.crashes, faults.size());
+    std::ostringstream single_csv;
+    std::ostringstream scenario_csv;
+    single.trace.to_csv().write(single_csv);
+    scenario.trace.to_csv().write(scenario_csv);
+    EXPECT_EQ(single_csv.str(), scenario_csv.str());
+    EXPECT_EQ(single.result.submit_time, scenario.results[0].submit_time);
+    EXPECT_EQ(single.result.end_time, scenario.results[0].end_time);
+  }
+}
+
 TEST(ScenarioRun, OutOfRangeFailureWorkerThrows) {
   auto spec = kc::parse_scenario(parse(kBasicScenario));
   kh::FaultEvent event;

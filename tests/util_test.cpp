@@ -216,14 +216,14 @@ TEST(Csv, RoundTrip) {
   ASSERT_EQ(parsed.num_rows(), 2u);
   EXPECT_EQ(parsed.cell(0, "a"), "1");
   EXPECT_EQ(parsed.cell(1, "b"), "y");
-  EXPECT_EQ(parsed.cell_int(1, "a"), 2);
+  EXPECT_EQ(parsed.cell(1, "a"), "2");
 }
 
 TEST(Csv, SkipsCommentsAndBlankLines) {
   std::istringstream in("# comment\n\na,b\n# another\n1,2\n");
   const auto parsed = ku::CsvTable::parse(in);
   ASSERT_EQ(parsed.num_rows(), 1u);
-  EXPECT_EQ(parsed.cell_double(0, "b"), 2.0);
+  EXPECT_EQ(parsed.cell(0, "b"), "2");
 }
 
 TEST(Csv, RaggedRowThrows) {
