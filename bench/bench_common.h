@@ -27,6 +27,10 @@
 #include "util/strings.h"
 #include "util/table.h"
 
+#if defined(__GLIBC__)
+#include <gnu/libc-version.h>
+#endif
+
 // Set per bench target by bench/CMakeLists.txt.
 #ifndef KEDDAH_BUILD_TYPE
 #define KEDDAH_BUILD_TYPE "unknown"
@@ -112,12 +116,18 @@ Timing time_repeated(std::size_t reps, Fn&& once) {
 }
 
 /// How a BENCH_*.json was measured: build type and source commit (both
-/// fixed when CMake configures the bench tree), logical CPUs, and the
-/// repetition scheme.
+/// fixed when CMake configures the bench tree), C library version (libm's
+/// `exp`, `log` and `pow` differ across glibc releases), logical CPUs, and
+/// the repetition scheme.
 inline std::string provenance_json(std::size_t reps) {
-  return util::format(R"({"build_type":"%s","commit":"%s","cpus":%u,"warmup":1,"reps":%zu})",
-                      KEDDAH_BUILD_TYPE, KEDDAH_COMMIT, std::thread::hardware_concurrency(),
-                      reps);
+#if defined(__GLIBC__)
+  const char* libc = gnu_get_libc_version();
+#else
+  const char* libc = "unknown";
+#endif
+  return util::format(
+      R"({"build_type":"%s","commit":"%s","libc":"%s","cpus":%u,"warmup":1,"reps":%zu})",
+      KEDDAH_BUILD_TYPE, KEDDAH_COMMIT, libc, std::thread::hardware_concurrency(), reps);
 }
 
 /// Standard bench banner.

@@ -10,7 +10,11 @@
 // frontier should cut links-touched-per-reshare by well over 3x versus the
 // full recompute. The `dense` shape is its opposite: an open-loop
 // all-to-all on the 4x4 testbed merges the fabric into one component, the
-// regime of open-loop what-if replay.
+// regime of open-loop what-if replay. The `capped` shape is `dense` with
+// every flow capped at 4 or 6 Gb/s, as the emulated HDFS disk caps its
+// writes and reads: the caps sit above the 1 GbE access links, never bind,
+// and leave every counter equal to `dense`'s, so the difference in wall
+// time is what the solver pays to carry slack caps.
 //
 // Every mode of every shape runs once untimed, then 7 times (5 with
 // --quick); wall_s is the median of the timed runs and wall_s_iqr their
@@ -60,8 +64,10 @@ std::size_t build(const std::string& name, ks::Simulator& sim, kn::Network*& net
   ku::Rng rng(1234);
   std::size_t flows = 0;
   const auto start_all = [&](kn::Network& n, kn::NodeId src, kn::NodeId dst, double bytes,
-                             double at) {
-    sim.schedule_at(at, [&n, src, dst, bytes] { n.start_flow(src, dst, ku::Bytes(bytes), {}, nullptr); });
+                             double at, double cap_bps = 0.0) {
+    sim.schedule_at(at, [&n, src, dst, bytes, cap_bps] {
+      n.start_flow(src, dst, ku::Bytes(bytes), {}, nullptr, ku::Rate::bps(cap_bps));
+    });
     ++flows;
   };
   if (name == "small") {
@@ -141,11 +147,14 @@ std::size_t build(const std::string& name, ks::Simulator& sim, kn::Network*& net
       if (dst == src) dst = hosts[(static_cast<std::size_t>(dst) + 1) % hosts.size()];
       start_all(*net, src, dst, std::pow(10.0, rng.uniform(4.5, 7.2)), rng.uniform(0.0, 3.0));
     }
-  } else if (name == "dense") {
+  } else if (name == "dense" || name == "capped") {
     // The 4x4 testbed (1 GbE access, 10 GbE core) under an open-loop
     // all-to-all: every ordered host pair sends once per wave, arrivals
     // outpace the access links, and the flows merge into one sharing
-    // component spanning the fabric.
+    // component spanning the fabric. `capped` gives every flow a 4 or
+    // 6 Gb/s disk cap (alternating by host pair, so the random draws and
+    // hence the load are `dense`'s).
+    const bool capped = name == "capped";
     keep.push_back(
         std::make_unique<kn::Network>(sim, kn::make_rack_tree(4, 4, 1e9, 10e9, 0.0), opts));
     net = keep.back().get();
@@ -156,7 +165,8 @@ std::size_t build(const std::string& name, ks::Simulator& sim, kn::Network*& net
         for (std::size_t b = 0; b < hosts.size(); ++b) {
           if (a == b) continue;
           start_all(*net, hosts[a], hosts[b], std::pow(10.0, rng.uniform(5.0, 7.5)),
-                    static_cast<double>(w) * 0.4 + rng.uniform(0.0, 0.8));
+                    static_cast<double>(w) * 0.4 + rng.uniform(0.0, 0.8),
+                    capped ? ((a + b) % 2 == 0 ? 4e9 : 6e9) : 0.0);
         }
       }
     }
@@ -249,7 +259,7 @@ int main(int argc, char** argv) {
   };
   std::vector<ShapeSummary> summaries;
   for (const std::string shape :
-       {"small", "medium", "mid-mixed", "mid-local", "large", "dense"}) {
+       {"small", "medium", "mid-mixed", "mid-local", "large", "dense", "capped"}) {
     ModeResult results[2];
     for (const bool reference : {false, true}) {
       auto& r = results[reference ? 1 : 0];

@@ -645,6 +645,7 @@ void Network::solve_dirty() {
   // components), so their cached values stand. The component is closed
   // under membership, so an arc's member count is its exact unfrozen count.
   std::size_t nf = 0;
+  double min_cap = kInf;
   while (!scratch_arc_stack_.empty()) {
     const std::uint32_t ai = scratch_arc_stack_.back();
     scratch_arc_stack_.pop_back();
@@ -660,6 +661,7 @@ void Network::solve_dirty() {
       ++nf;
       if (std::isfinite(slot_rate_cap_[slot])) {
         scratch_caps_.push_back({slot_rate_cap_[slot], slot});
+        min_cap = std::min(min_cap, slot_rate_cap_[slot]);
       }
       const PathRef& pr = slot_path_[slot];
       for (std::uint32_t i = 0; i < pr.len; ++i) {
@@ -690,11 +692,6 @@ void Network::solve_dirty() {
   if (nf == 0) return;
   sched_stats_.flows_visited += nf;
 
-  // Rate caps in the order their rounds would come: (cap, flow id).
-  std::sort(caps.begin(), caps.end(), [this](const CapEntry& a, const CapEntry& b) {
-    return a.cap != b.cap ? a.cap < b.cap : slot_id_[a.slot] < slot_id_[b.slot];
-  });
-
   // A frozen flow takes `share` off the residual of every arc on its path.
   const auto freeze = [&](std::uint32_t slot, double share) {
     slot_visit_[slot] = frozen;
@@ -712,8 +709,11 @@ void Network::solve_dirty() {
   // throughout (DESIGN.md §9): the bottleneck is the least (share, global
   // arc index) over the arcs that still have unfrozen members, and a cap
   // round is taken only when the least unfrozen cap is strictly below it.
+  // No unfrozen cap is below min_cap, so while min_cap >= share no cap
+  // round can come, and the caps stay unsorted until one can.
   std::size_t live = local_arcs.size();
   std::size_t next_cap = 0;
+  bool caps_sorted = false;
   while (nf > 0) {
     double share = kInf;
     std::uint32_t bottleneck = std::numeric_limits<std::uint32_t>::max();
@@ -735,10 +735,19 @@ void Network::solve_dirty() {
       }
       ++p;
     }
-    while (next_cap < caps.size() && slot_visit_[caps[next_cap].slot] == frozen) ++next_cap;
-    if (next_cap < caps.size() && caps[next_cap].cap < share) {
-      freeze(caps[next_cap].slot, caps[next_cap].cap);
-      continue;
+    if (min_cap < share) {
+      if (!caps_sorted) {
+        // Rate caps in the order their rounds would come: (cap, flow id).
+        std::sort(caps.begin(), caps.end(), [this](const CapEntry& a, const CapEntry& b) {
+          return a.cap != b.cap ? a.cap < b.cap : slot_id_[a.slot] < slot_id_[b.slot];
+        });
+        caps_sorted = true;
+      }
+      while (next_cap < caps.size() && slot_visit_[caps[next_cap].slot] == frozen) ++next_cap;
+      if (next_cap < caps.size() && caps[next_cap].cap < share) {
+        freeze(caps[next_cap].slot, caps[next_cap].cap);
+        continue;
+      }
     }
     assert(live > 0);
     // All unfrozen members freeze at the same share, so the member list's

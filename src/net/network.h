@@ -499,7 +499,7 @@ class Network {
   /// are allocation-free: the component's arcs (global index) with their
   /// residual capacities and unfrozen member counts, position p of each
   /// describing one arc (arc_local_idx_ maps a global index to p), and the
-  /// component's rate caps.
+  /// component's rate caps, sorted only once one of them can bind.
   std::vector<std::uint32_t> scratch_local_arcs_;
   std::vector<double> scratch_residual_;
   std::vector<std::uint32_t> scratch_unfrozen_;

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -365,6 +366,107 @@ std::map<kn::FlowId, double> previous_solver_rates(const kn::Network& net) {
   return rates;
 }
 
+/// What step_against_previous_solver saw, counted over simulator events.
+struct OracleCheck {
+  std::size_t compared = 0;       ///< rates compared with the oracle's
+  std::size_t capped_events = 0;  ///< events after which a flow was capped
+  /// Capped events whose least cap was at or below the greatest rate.
+  std::size_t cap_reached = 0;
+  /// Capped events whose least cap lay strictly between the least and the
+  /// greatest uncapped rate: their solve had bottleneck rounds on both
+  /// sides of it, so a solve of the whole active set sorts its caps mid-way.
+  std::size_t cap_straddled = 0;
+  /// Capped events on which an uncapped rate equalled the least cap.
+  std::size_t cap_tied = 0;
+};
+
+/// Steps `sim` to the end. After every event, every active flow's rate must
+/// equal previous_solver_rates' for the same active set, bit for bit.
+OracleCheck step_against_previous_solver(ks::Simulator& sim, const kn::Network& net) {
+  OracleCheck check;
+  std::size_t steps = 0;
+  std::vector<double> uncapped;
+  while (sim.step()) {
+    ++steps;
+    const auto expected = previous_solver_rates(net);
+    double least_cap = std::numeric_limits<double>::infinity();
+    double greatest_rate = 0.0;
+    uncapped.clear();
+    net.visit_active_flows([&](const kn::Flow& f) {
+      ++check.compared;
+      const auto it = expected.find(f.id);
+      ASSERT_NE(it, expected.end());
+      EXPECT_EQ(f.rate_bps, it->second) << "flow " << f.id << " after event " << steps;
+      greatest_rate = std::max(greatest_rate, f.rate_bps);
+      if (std::isfinite(f.rate_cap_bps)) {
+        least_cap = std::min(least_cap, f.rate_cap_bps);
+      } else {
+        uncapped.push_back(f.rate_bps);
+      }
+    });
+    if (::testing::Test::HasFailure()) break;  // one detailed failure beats thousands
+    if (!std::isfinite(least_cap)) continue;
+    ++check.capped_events;
+    if (least_cap <= greatest_rate) ++check.cap_reached;
+    if (!uncapped.empty()) {
+      const auto [lo, hi] = std::minmax_element(uncapped.begin(), uncapped.end());
+      if (*lo < least_cap && least_cap < *hi) ++check.cap_straddled;
+      if (std::find(uncapped.begin(), uncapped.end(), least_cap) != uncapped.end()) {
+        ++check.cap_tied;
+      }
+    }
+  }
+  return check;
+}
+
+/// A random open load on `topology` in one scheduler mode, stepped against
+/// the oracle: 150 flows between random hosts, 10^4.5..10^7 bytes, starting
+/// in [0, 1) s and capped at `draw_cap(rng)` bits/s (0 leaves a flow
+/// uncapped), plus three link halvings restored 0.5 s later and three
+/// aborts that move the water level mid-run.
+template <typename DrawCap>
+OracleCheck check_random_load(const kn::Topology& topology, std::uint64_t seed, bool reference,
+                              DrawCap draw_cap) {
+  unsetenv("KEDDAH_REFERENCE_SCHEDULER");  // pin the mode via NetworkOptions
+  ks::Simulator sim;
+  kn::NetworkOptions opts;
+  opts.model_latency = (seed % 2 == 0);
+  opts.reference_scheduler = reference;
+  kn::Network net(sim, topology, opts);
+  const auto hosts = net.topology().hosts();
+  ku::Rng rng(seed);
+  const std::size_t num_flows = 150;
+  for (std::size_t i = 0; i < num_flows; ++i) {
+    const auto src = hosts[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1))];
+    auto dst = hosts[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1))];
+    if (dst == src) dst = hosts[(static_cast<std::size_t>(dst) + 1) % hosts.size()];
+    const double bytes = std::pow(10.0, rng.uniform(4.5, 7.0));
+    const double cap = draw_cap(rng);
+    sim.schedule_at(rng.uniform(0.0, 1.0), [&net, src, dst, bytes, cap] {
+      net.start_flow(src, dst, ku::Bytes(bytes), {}, nullptr, ku::Rate::bps(cap));
+    });
+  }
+  for (int i = 0; i < 3; ++i) {
+    const auto link = static_cast<kn::LinkId>(
+        rng.uniform_int(0, static_cast<std::int64_t>(net.topology().num_links()) - 1));
+    const double at = rng.uniform(0.1, 1.0);
+    sim.schedule_at(at, [&net, link] {
+      net.set_link_capacity(link, net.topology().link(link).capacity * 0.5);
+    });
+    sim.schedule_at(at + 0.5, [&net, link] {
+      net.set_link_capacity(link, net.topology().link(link).capacity * 2.0);
+    });
+    const auto victim =
+        static_cast<kn::FlowId>(rng.uniform_int(1, static_cast<std::int64_t>(num_flows)));
+    sim.schedule_at(rng.uniform(0.1, 1.5), [&net, victim] { net.abort_flow(victim); });
+  }
+  const OracleCheck check = step_against_previous_solver(sim, net);
+  EXPECT_GT(check.compared, num_flows) << "too few rates compared";
+  return check;
+}
+
 }  // namespace
 
 // 60 seeded scenarios x 5 topologies, every one with faults: the core
@@ -550,7 +652,6 @@ TEST(SchedulerDifferential, ScenarioPipelineMatchesUnderEnvSwitch) {
 // aborts move the level mid-run. The differential tests above compare the
 // two modes of one solver, so this is what pins the solver's tie order.
 TEST(SchedulerDifferential, RatesMatchPreviousSolverAfterEveryEvent) {
-  unsetenv("KEDDAH_REFERENCE_SCHEDULER");  // pin the mode via NetworkOptions
   const struct Shape {
     const char* name;
     kn::Topology topology;
@@ -562,56 +663,87 @@ TEST(SchedulerDifferential, RatesMatchPreviousSolverAfterEveryEvent) {
       for (const bool reference : {false, true}) {
         SCOPED_TRACE(std::string(shape.name) + " seed " + std::to_string(seed) +
                      (reference ? " reference" : " incremental"));
-        ks::Simulator sim;
-        kn::NetworkOptions opts;
-        opts.model_latency = (seed % 2 == 0);
-        opts.reference_scheduler = reference;
-        kn::Network net(sim, shape.topology, opts);
-        const auto hosts = net.topology().hosts();
-        ku::Rng rng(seed);
-        const std::size_t num_flows = 150;
-        for (std::size_t i = 0; i < num_flows; ++i) {
-          const auto src = hosts[static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1))];
-          auto dst = hosts[static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1))];
-          if (dst == src) dst = hosts[(static_cast<std::size_t>(dst) + 1) % hosts.size()];
-          const double bytes = std::pow(10.0, rng.uniform(4.5, 7.0));
-          const double cap =
-              rng.chance(0.33) ? 1e9 / static_cast<double>(rng.uniform_int(2, 16)) : 0.0;
-          sim.schedule_at(rng.uniform(0.0, 1.0), [&net, src, dst, bytes, cap] {
-            net.start_flow(src, dst, ku::Bytes(bytes), {}, nullptr, ku::Rate::bps(cap));
-          });
-        }
-        for (int i = 0; i < 3; ++i) {
-          const auto link = static_cast<kn::LinkId>(
-              rng.uniform_int(0, static_cast<std::int64_t>(net.topology().num_links()) - 1));
-          const double at = rng.uniform(0.1, 1.0);
-          sim.schedule_at(at, [&net, link] {
-            net.set_link_capacity(link, net.topology().link(link).capacity * 0.5);
-          });
-          sim.schedule_at(at + 0.5, [&net, link] {
-            net.set_link_capacity(link, net.topology().link(link).capacity * 2.0);
-          });
-          const auto victim =
-              static_cast<kn::FlowId>(rng.uniform_int(1, static_cast<std::int64_t>(num_flows)));
-          sim.schedule_at(rng.uniform(0.1, 1.5), [&net, victim] { net.abort_flow(victim); });
-        }
-        std::size_t steps = 0;
-        std::size_t compared = 0;
-        while (sim.step()) {
-          ++steps;
-          const auto expected = previous_solver_rates(net);
-          net.visit_active_flows([&](const kn::Flow& f) {
-            ++compared;
-            const auto it = expected.find(f.id);
-            ASSERT_NE(it, expected.end());
-            EXPECT_EQ(f.rate_bps, it->second) << "flow " << f.id << " after event " << steps;
-          });
-          if (HasFailure()) return;  // one detailed failure beats thousands
-        }
-        EXPECT_GT(compared, num_flows) << "too few rates compared";
+        check_random_load(shape.topology, seed, reference, [](ku::Rng& rng) {
+          return rng.chance(0.33) ? 1e9 / static_cast<double>(rng.uniform_int(2, 16)) : 0.0;
+        });
+        if (HasFailure()) return;
       }
     }
+  }
+}
+
+// Hadoop-like disk caps: every flow carries a 4 or 6 Gb/s cap, as the
+// emulated HDFS writes and reads do, over the testbed's 1 GbE access links.
+// No cap can bind, so the solver never needs the caps in order and must
+// still match the oracle with them left unsorted.
+TEST(SchedulerDifferential, SlackDiskCapsMatchPreviousSolver) {
+  const kn::Topology testbed = kn::make_rack_tree(4, 4, 1e9, 10e9, 1e-4);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const bool reference : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (reference ? " reference" : " incremental"));
+      const OracleCheck check = check_random_load(
+          testbed, seed, reference, [](ku::Rng& rng) { return rng.chance(0.5) ? 4e9 : 6e9; });
+      EXPECT_GT(check.capped_events, 0u);
+      EXPECT_EQ(check.cap_reached, 0u) << "a disk cap came within reach of a share";
+      if (HasFailure()) return;
+    }
+  }
+}
+
+// Caps whose least value lies strictly between a solve's first and last
+// bottleneck share: a quarter of the flows carry a cap drawn from
+// 0.25..0.75 Gb/s, inside the spread of uncapped rates on the
+// oversubscribed 4x4 tree, so a solve starts with rounds below every cap and
+// has to order its caps part-way through.
+TEST(SchedulerDifferential, CapsSortedMidSolveMatchPreviousSolver) {
+  const kn::Topology oversubscribed = kn::make_rack_tree(4, 4, 1e9, 1e9, 1e-4);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const bool reference : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (reference ? " reference" : " incremental"));
+      const OracleCheck check =
+          check_random_load(oversubscribed, seed, reference, [](ku::Rng& rng) {
+            return rng.chance(0.25) ? rng.uniform(0.25e9, 0.75e9) : 0.0;
+          });
+      EXPECT_GT(check.cap_straddled, check.capped_events / 4)
+          << "too few events put the least cap between two bottleneck shares";
+      if (HasFailure()) return;
+    }
+  }
+}
+
+// A cap exactly equal to a bottleneck share takes no cap round (the strict
+// `<`): the oracle orders a virtual cap arc after every real arc of equal
+// share. On a star, h0 sends to h1 (capped at 1e9/3), h2 and h3, and h4
+// sends four short flows to h1, h2, h3 and h5. The first round freezes h4's
+// uplink at 2.5e8, below the cap; the second finds h0's uplink at exactly
+// 1e9/3. Once h4's flows finish, the tie is the solve's first round. Taking
+// the cap round first would leave h0's other two flows (1e9 - 1e9/3) / 2,
+// one ulp above 1e9/3.
+TEST(SchedulerDifferential, CapEqualToShareMatchesPreviousSolver) {
+  unsetenv("KEDDAH_REFERENCE_SCHEDULER");  // pin the mode via NetworkOptions
+  for (const bool reference : {false, true}) {
+    SCOPED_TRACE(reference ? "reference" : "incremental");
+    ks::Simulator sim;
+    kn::NetworkOptions opts;
+    opts.model_latency = false;
+    opts.reference_scheduler = reference;
+    kn::Network net(sim, kn::make_star(6, 1e9, 1e-4), opts);
+    const auto h = net.topology().hosts();
+    const double third = 1e9 / 3.0;
+    const struct {
+      std::size_t src, dst;
+      double bytes, cap;
+    } flows[] = {{0, 1, 2e7, third}, {0, 2, 3e7, 0.0}, {0, 3, 4e7, 0.0}, {4, 1, 1e6, 0.0},
+                 {4, 2, 1.5e6, 0.0}, {4, 3, 2e6, 0.0}, {4, 5, 2.5e6, 0.0}};
+    for (const auto& f : flows) {
+      sim.schedule_at(0.0, [&net, src = h[f.src], dst = h[f.dst], bytes = f.bytes, cap = f.cap] {
+        net.start_flow(src, dst, ku::Bytes(bytes), {}, nullptr, ku::Rate::bps(cap));
+      });
+    }
+    const OracleCheck check = step_against_previous_solver(sim, net);
+    EXPECT_GT(check.cap_tied, 0u) << "no event tied the cap with a share";
+    if (HasFailure()) return;
   }
 }
