@@ -20,6 +20,12 @@
 // --quick); wall_s is the median of the timed runs and wall_s_iqr their
 // interquartile range. The counters are deterministic.
 //
+// Each shape also reports the scheduler gate, incremental median <=
+// reference median + reference IQR, as `gate_incremental_le_reference`.
+// It is reported only: timings on a shared host are too noisy to fail a
+// run on. The `capped` == `dense` counter invariant is deterministic, so a
+// breach of it exits 1.
+//
 // Usage: perf_scheduler [--quick] [--out PATH]
 #include <chrono>
 #include <cmath>
@@ -212,6 +218,13 @@ ModeResult run(const std::string& shape, bool reference, double scale, std::size
   return r;
 }
 
+bool same_counters(const kn::SchedulerStats& a, const kn::SchedulerStats& b) {
+  return a.reshares == b.reshares && a.solves == b.solves && a.empty_reshares == b.empty_reshares &&
+         a.links_touched == b.links_touched && a.flows_visited == b.flows_visited &&
+         a.flows_rerated == b.flows_rerated && a.heap_ops == b.heap_ops &&
+         a.solve_size_hist == b.solve_size_hist;
+}
+
 std::string hist_json(const kn::SchedulerStats& s) {
   std::string out = "[";
   for (std::size_t i = 0; i < s.solve_size_hist.size(); ++i) {
@@ -256,8 +269,10 @@ int main(int argc, char** argv) {
     std::string shape;
     double link_ratio = 0.0;
     double speedup = 0.0;
+    bool gate = false;  ///< incremental median <= reference median + IQR
   };
   std::vector<ShapeSummary> summaries;
+  kn::SchedulerStats dense_stats[2], capped_stats[2];
   for (const std::string shape :
        {"small", "medium", "mid-mixed", "mid-local", "large", "dense", "capped"}) {
     ModeResult results[2];
@@ -273,25 +288,35 @@ int main(int argc, char** argv) {
     const double link_ratio =
         results[1].stats.links_per_reshare() / results[0].stats.links_per_reshare();
     const double speedup = results[1].timing.median_s() / results[0].timing.median_s();
-    std::printf("%-9s -> %.2fx fewer links/reshare, %.2fx median wall speedup\n\n",
-                shape.c_str(),
-                link_ratio, speedup);
+    const bool gate = results[0].timing.median_s() <=
+                      results[1].timing.median_s() + results[1].timing.iqr_s();
+    std::printf("%-9s -> %.2fx fewer links/reshare, %.2fx median wall speedup, gate %s\n\n",
+                shape.c_str(), link_ratio, speedup, gate ? "met" : "missed");
     if (!first) json += ",\n";
     first = false;
     json += ku::format(
         "  \"%s\": {\n    \"incremental\": %s,\n    \"reference\": %s,\n"
-        "    \"links_per_reshare_ratio\": %.3f,\n    \"wall_speedup\": %.3f\n  }",
+        "    \"links_per_reshare_ratio\": %.3f,\n    \"wall_speedup\": %.3f,\n"
+        "    \"gate_incremental_le_reference\": %s\n  }",
         shape.c_str(), mode_json(results[0]).c_str(), mode_json(results[1]).c_str(), link_ratio,
-        speedup);
-    summaries.push_back({shape, link_ratio, speedup});
+        speedup, gate ? "true" : "false");
+    summaries.push_back({shape, link_ratio, speedup, gate});
+    if (shape == "dense") {
+      dense_stats[0] = results[0].stats;
+      dense_stats[1] = results[1].stats;
+    } else if (shape == "capped") {
+      capped_stats[0] = results[0].stats;
+      capped_stats[1] = results[1].stats;
+    }
   }
   json += "\n}\n";
 
   // Per-shape rollup of the two headline ratios (reference / incremental),
   // so a --quick run ends with the whole comparison in one table.
-  std::printf("%-9s %22s %14s\n", "shape", "links_per_reshare_ratio", "wall_speedup");
+  std::printf("%-9s %22s %14s %6s\n", "shape", "links_per_reshare_ratio", "wall_speedup", "gate");
   for (const auto& s : summaries) {
-    std::printf("%-9s %21.2fx %13.2fx\n", s.shape.c_str(), s.link_ratio, s.speedup);
+    std::printf("%-9s %21.2fx %13.2fx %6s\n", s.shape.c_str(), s.link_ratio, s.speedup,
+                s.gate ? "met" : "missed");
   }
 
   std::ofstream out(out_path, std::ios::trunc);
@@ -301,5 +326,14 @@ int main(int argc, char** argv) {
   }
   out << json;
   std::printf("wrote %s\n", out_path.c_str());
+  // Slack caps never bind, so `capped` must leave every counter at `dense`'s.
+  for (const bool reference : {false, true}) {
+    const int mode = reference ? 1 : 0;
+    if (!same_counters(dense_stats[mode], capped_stats[mode])) {
+      std::fprintf(stderr, "capped counters differ from dense's (%s mode)\n",
+                   reference ? "reference" : "incremental");
+      return 1;
+    }
+  }
   return 0;
 }

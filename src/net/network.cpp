@@ -63,6 +63,7 @@ Network::Network(sim::Simulator& sim, Topology topology, NetworkOptions options)
   scratch_local_arcs_.reserve(n_arcs);
   scratch_residual_.reserve(n_arcs);
   scratch_unfrozen_.reserve(n_arcs);
+  populated_arcs_.reserve(n_arcs);
   node_down_.assign(topology_.num_nodes(), false);
   reference_mode_ = options_.reference_scheduler;
   const char* env = std::getenv("KEDDAH_REFERENCE_SCHEDULER");
@@ -204,6 +205,46 @@ void Network::audit_scheduler() const {
   }
   if (frontier != dirty_flags) fail("dirty flags out of sync with frontier");
 
+  // Populated-arc list: exactly the arcs with members, positions in sync.
+  std::size_t populated = 0;
+  for (const ArcState& s : arcs_) populated += s.members.empty() ? 0 : 1;
+  if (populated != populated_arcs_.size()) fail("populated-arc list size != populated arcs");
+  for (std::size_t pos = 0; pos < populated_arcs_.size(); ++pos) {
+    const std::uint32_t ai = populated_arcs_[pos];
+    if (ai >= arcs_.size() || arcs_[ai].members.empty()) fail("populated-arc list holds an idle arc");
+    if (arcs_[ai].populated_pos != pos) fail("populated-arc position out of sync");
+  }
+
+  // Between solves the whole-fabric flags are pending; at quiescence they
+  // are clear, and connected_ must be re-derivable by a flood fill of our
+  // own from any populated arc.
+  if (!dirty_arcs_.empty()) return;
+  if (isolated_add_ || maybe_split_) fail("whole-fabric flag pending with a clean frontier");
+  if (!connected_ || populated_arcs_.empty()) return;
+  std::vector<std::uint8_t> arc_seen(arcs_.size(), 0);
+  std::vector<std::uint8_t> slot_seen(slot_id_.size(), 0);
+  std::vector<std::uint32_t> stack{populated_arcs_.front()};
+  arc_seen[populated_arcs_.front()] = 1;
+  std::size_t reached = 0;
+  while (!stack.empty()) {
+    const std::uint32_t ai = stack.back();
+    stack.pop_back();
+    ++reached;
+    for (const auto& [slot, pi] : arcs_[ai].members) {
+      (void)pi;
+      if (slot_seen[slot]) continue;
+      slot_seen[slot] = 1;
+      const PathRef& pr = slot_path_[slot];
+      for (std::uint32_t i = 0; i < pr.len; ++i) {
+        const std::uint32_t aj = path_pool_[pr.off + i].index();
+        if (!arc_seen[aj]) {
+          arc_seen[aj] = 1;
+          stack.push_back(aj);
+        }
+      }
+    }
+  }
+  if (reached != populated_arcs_.size()) fail("connected_ set but the fabric is split");
 }
 
 ArenaStats Network::arena_stats() const {
@@ -521,13 +562,23 @@ void Network::compact_path_pool() {
 
 void Network::add_membership(std::uint32_t slot) {
   const PathRef& pr = slot_path_[slot];
+  bool touches_populated = false;
   for (std::uint32_t i = 0; i < pr.len; ++i) {
     const std::uint32_t ai = path_pool_[pr.off + i].index();
     ArcState& s = arcs_[ai];
+    if (s.members.empty()) {
+      s.populated_pos = static_cast<std::uint32_t>(populated_arcs_.size());
+      populated_arcs_.push_back(ai);
+    } else {
+      touches_populated = true;
+    }
     member_pos_pool_[pr.off + i] = static_cast<std::uint32_t>(s.members.size());
     s.members.emplace_back(slot, i);
     mark_dirty(ai);
   }
+  // An arrival joining a populated arc joins (and may merge) components;
+  // one touching none is a component of its own.
+  if (!touches_populated) isolated_add_ = true;
 }
 
 void Network::remove_membership(std::uint32_t slot) {
@@ -543,8 +594,51 @@ void Network::remove_membership(std::uint32_t slot) {
       const PathRef& mp = slot_path_[moved.first];
       member_pos_pool_[mp.off + moved.second] = pos;
     }
+    if (s.members.empty()) {
+      const std::uint32_t last = populated_arcs_.back();
+      populated_arcs_[s.populated_pos] = last;
+      arcs_[last].populated_pos = s.populated_pos;
+      populated_arcs_.pop_back();
+    }
     mark_dirty(ai);
   }
+  // Only a connected fabric needs the check: otherwise the next solve runs
+  // the flood fill anyway and re-derives connected_.
+  if (connected_ && !isolated_add_ && !maybe_split_ && !path_stays_covered(slot)) {
+    maybe_split_ = true;
+  }
+}
+
+bool Network::path_stays_covered(std::uint32_t slot) const {
+  // If every consecutive pair of the departed flow's populated arcs shares
+  // another flow, those arcs stay connected without it, and so does every
+  // component path that ran through it.
+  const auto crosses = [this](std::uint32_t member, std::uint32_t arc) {
+    const PathRef& mp = slot_path_[member];
+    for (std::uint32_t j = 0; j < mp.len; ++j) {
+      if (path_pool_[mp.off + j].index() == arc) return true;
+    }
+    return false;
+  };
+  constexpr std::uint32_t kNoArc = std::numeric_limits<std::uint32_t>::max();
+  const PathRef& pr = slot_path_[slot];
+  std::uint32_t prev = kNoArc;
+  for (std::uint32_t i = 0; i < pr.len; ++i) {
+    const std::uint32_t ai = path_pool_[pr.off + i].index();
+    if (arcs_[ai].members.empty()) continue;
+    if (prev != kNoArc) {
+      // Walk the shorter member list for a flow crossing the other arc.
+      const bool prev_shorter = arcs_[prev].members.size() <= arcs_[ai].members.size();
+      const auto& walk = arcs_[prev_shorter ? prev : ai].members;
+      const std::uint32_t other = prev_shorter ? ai : prev;
+      if (std::none_of(walk.begin(), walk.end(),
+                       [&](const auto& member) { return crosses(member.first, other); })) {
+        return false;
+      }
+    }
+    prev = ai;
+  }
+  return true;
 }
 
 std::pair<Flow, Network::CompletionCallback> Network::detach(std::uint32_t slot) {
@@ -591,9 +685,7 @@ void Network::reshare() {
 }
 
 void Network::compute_max_min_rates_reference() {
-  for (std::uint32_t ai = 0; ai < arcs_.size(); ++ai) {
-    if (!arcs_[ai].members.empty()) mark_dirty(ai);
-  }
+  for (const std::uint32_t ai : populated_arcs_) mark_dirty(ai);
 }
 
 void Network::assign_rate(std::uint32_t slot, double rate_bps) {
@@ -626,53 +718,93 @@ void Network::solve_dirty() {
   scratch_unfrozen_.clear();
   scratch_caps_.clear();
   scratch_arc_stack_.clear();
-
-  // Seed the flood fill with the populated dirty arcs; arcs whose last
-  // member departed (or that were never populated) just get their flag
-  // cleared — no flow's rate can depend on them.
-  for (const std::uint32_t ai : dirty_arcs_) {
-    arcs_[ai].dirty = false;
-    if (!arcs_[ai].members.empty() && arc_visit_[ai] != epoch) {
-      arc_visit_[ai] = epoch;
-      scratch_arc_stack_.push_back(ai);
-    }
-  }
-  dirty_arcs_.clear();
-
-  // Flood fill the connected component(s) of the flow/arc sharing graph
-  // that contain a dirty arc. Rates of flows outside these components are
-  // unaffected by whatever changed (max-min decomposes exactly over
-  // components), so their cached values stand. The component is closed
-  // under membership, so an arc's member count is its exact unfrozen count.
-  std::size_t nf = 0;
-  double min_cap = kInf;
-  while (!scratch_arc_stack_.empty()) {
-    const std::uint32_t ai = scratch_arc_stack_.back();
-    scratch_arc_stack_.pop_back();
+  const auto add_local_arc = [this](std::uint32_t ai) {
     const ArcState& arc = arcs_[ai];
     arc_local_idx_[ai] = static_cast<std::uint32_t>(scratch_local_arcs_.size());
     scratch_local_arcs_.push_back(ai);
     scratch_residual_.push_back(arc.capacity_bps);
     scratch_unfrozen_.push_back(static_cast<std::uint32_t>(arc.members.size()));
-    for (const auto& [slot, pi] : arc.members) {
-      (void)pi;
-      if (slot_visit_[slot] == epoch) continue;
-      slot_visit_[slot] = epoch;
-      ++nf;
-      if (std::isfinite(slot_rate_cap_[slot])) {
-        scratch_caps_.push_back({slot_rate_cap_[slot], slot});
-        min_cap = std::min(min_cap, slot_rate_cap_[slot]);
-      }
-      const PathRef& pr = slot_path_[slot];
-      for (std::uint32_t i = 0; i < pr.len; ++i) {
-        const std::uint32_t aj = path_pool_[pr.off + i].index();
-        if (arc_visit_[aj] != epoch) {
-          arc_visit_[aj] = epoch;
-          scratch_arc_stack_.push_back(aj);
+  };
+  std::size_t nf = 0;
+  double min_cap = kInf;
+  const auto add_flow = [&](std::uint32_t slot) {
+    ++nf;
+    if (std::isfinite(slot_rate_cap_[slot])) {
+      scratch_caps_.push_back({slot_rate_cap_[slot], slot});
+      min_cap = std::min(min_cap, slot_rate_cap_[slot]);
+    }
+  };
+
+  // The populated dirty arcs are the seeds, kept at the front of
+  // dirty_arcs_; arcs whose last member departed (or that were never
+  // populated) just get their flag cleared — no flow's rate can depend on
+  // them.
+  std::size_t n_seeds = 0;
+  for (const std::uint32_t ai : dirty_arcs_) {
+    arcs_[ai].dirty = false;
+    if (!arcs_[ai].members.empty()) dirty_arcs_[n_seeds++] = ai;
+  }
+
+  // Whole-fabric solve (DESIGN.md §9): if the populated arcs formed one
+  // component at the last solve and every arrival since joined a populated
+  // arc, each component now holds a dirty arc, so the flood fill would
+  // reach every populated arc and every live flow. Take them straight from
+  // the populated-arc list and the arena instead.
+  const bool whole = n_seeds > 0 && connected_ && !isolated_add_;
+  // With no seeds, components changed only by vanishing whole: connected_
+  // still holds if it held, and an empty fabric is one component.
+  bool connected = whole ? !maybe_split_ : n_seeds == 0 && (connected_ || populated_arcs_.empty());
+  if (whole) {
+    for (const std::uint32_t ai : populated_arcs_) add_local_arc(ai);
+    for (std::uint32_t slot = 0; slot < slot_id_.size(); ++slot) {
+      if (slot_in_use_[slot]) add_flow(slot);
+    }
+  } else {
+    // Flood fill the connected component(s) of the flow/arc sharing graph
+    // that contain a dirty arc, one traversal per seed not yet reached.
+    // Rates of flows outside these components are unaffected by whatever
+    // changed (max-min decomposes exactly over components), so their cached
+    // values stand. The component is closed under membership, so an arc's
+    // member count is its exact unfrozen count. Once every populated arc is
+    // reached, no flow's path can lead anywhere new: the fill stops walking
+    // paths and only drains the stack. Only the first traversal reaching
+    // every arc shows the fabric is one component; later ones show only
+    // that each component is dirty.
+    const std::size_t n_populated = populated_arcs_.size();
+    std::size_t reached = 0;
+    bool all_reached = false;
+    const auto reach = [&](std::uint32_t ai) {
+      arc_visit_[ai] = epoch;
+      scratch_arc_stack_.push_back(ai);
+      all_reached = ++reached == n_populated;
+    };
+    for (std::size_t k = 0; k < n_seeds && !all_reached; ++k) {
+      if (arc_visit_[dirty_arcs_[k]] == epoch) continue;
+      reach(dirty_arcs_[k]);
+      while (!scratch_arc_stack_.empty()) {
+        const std::uint32_t ai = scratch_arc_stack_.back();
+        scratch_arc_stack_.pop_back();
+        add_local_arc(ai);
+        for (const auto& [slot, pi] : arcs_[ai].members) {
+          (void)pi;
+          if (slot_visit_[slot] == epoch) continue;
+          slot_visit_[slot] = epoch;
+          add_flow(slot);
+          if (all_reached) continue;
+          const PathRef& pr = slot_path_[slot];
+          for (std::uint32_t i = 0; i < pr.len; ++i) {
+            const std::uint32_t aj = path_pool_[pr.off + i].index();
+            if (arc_visit_[aj] != epoch) reach(aj);
+          }
         }
       }
+      connected = all_reached && k == 0;
     }
   }
+  dirty_arcs_.clear();
+  connected_ = connected;
+  isolated_add_ = false;
+  maybe_split_ = false;
 
   auto& local_arcs = scratch_local_arcs_;
   auto& residual = scratch_residual_;
@@ -737,10 +869,7 @@ void Network::solve_dirty() {
     }
     if (min_cap < share) {
       if (!caps_sorted) {
-        // Rate caps in the order their rounds would come: (cap, flow id).
-        std::sort(caps.begin(), caps.end(), [this](const CapEntry& a, const CapEntry& b) {
-          return a.cap != b.cap ? a.cap < b.cap : slot_id_[a.slot] < slot_id_[b.slot];
-        });
+        sort_caps();
         caps_sorted = true;
       }
       while (next_cap < caps.size() && slot_visit_[caps[next_cap].slot] == frozen) ++next_cap;
@@ -757,6 +886,13 @@ void Network::solve_dirty() {
       if (slot_visit_[slot] != frozen) freeze(slot, share);
     }
   }
+}
+
+void Network::sort_caps() {
+  std::sort(scratch_caps_.begin(), scratch_caps_.end(),
+            [this](const CapEntry& a, const CapEntry& b) {
+              return a.cap != b.cap ? a.cap < b.cap : slot_id_[a.slot] < slot_id_[b.slot];
+            });
 }
 
 // --- completion heap -------------------------------------------------------

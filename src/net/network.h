@@ -358,6 +358,8 @@ class Network {
     /// that flow's path). Unordered: removal is swap-remove, and the solver
     /// freezes all of a bottleneck's members at one share.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> members;
+    /// Position in populated_arcs_ while `members` is non-empty.
+    std::uint32_t populated_pos = 0;
     /// True while the arc sits on the dirty frontier.
     bool dirty = false;
   };
@@ -371,8 +373,14 @@ class Network {
 
   // --- membership / dirty frontier ---------------------------------------
   void mark_dirty(std::uint32_t arc_index);
+  /// Membership changes also keep populated_arcs_ and the whole-fabric
+  /// flags (isolated_add_, maybe_split_) current.
   void add_membership(std::uint32_t slot);
   void remove_membership(std::uint32_t slot);
+  /// True when each consecutive pair of `slot`'s still-populated path arcs
+  /// is crossed by some other flow, so removing `slot` cannot have split
+  /// its component. Called after the slot left every member list.
+  bool path_stays_covered(std::uint32_t slot) const;
   std::uint32_t allocate_slot();
   /// Copies `path` into the slot's pool segment, reusing it in place when
   /// it fits and appending a fresh segment (after a possible compaction)
@@ -396,10 +404,15 @@ class Network {
   /// recomputes the complete allocation from scratch.
   void compute_max_min_rates_reference();
   /// Water-filling over the dirty component(s): flood-fills the affected
-  /// flow/arc set, then freezes one bottleneck per round, found by scanning
-  /// the component's live arcs and its sorted rate caps. Clears the dirty
-  /// frontier.
+  /// flow/arc set (or takes the whole fabric when the dirty components
+  /// provably span it), then freezes one bottleneck per round, found by
+  /// scanning the component's live arcs and its sorted rate caps. Clears
+  /// the dirty frontier.
   void solve_dirty();
+  /// Sorts scratch_caps_ by (cap, flow id), the order cap rounds come in.
+  /// Kept out of line so the bottleneck scan's codegen does not depend on
+  /// it: no solve of an emulated-Hadoop run ever sorts.
+  [[gnu::cold, gnu::noinline]] void sort_caps();
   /// Applies a freshly solved rate; no-op (and no heap churn) when the rate
   /// is unchanged.
   void assign_rate(std::uint32_t slot, double rate_bps);
@@ -486,6 +499,20 @@ class Network {
   FlowSlotIndex slot_index_;
   std::vector<ArcState> arcs_;
   std::vector<std::uint32_t> dirty_arcs_;
+  /// Arcs with at least one member, unordered (swap-remove through
+  /// ArcState::populated_pos); reserved to num_arcs() up front.
+  std::vector<std::uint32_t> populated_arcs_;
+  /// At the last solve the populated arcs formed a single component (an
+  /// empty fabric counts). While it holds and no arrival since touched only
+  /// unpopulated arcs, every component holds a dirty arc, so a solve takes
+  /// the whole fabric without a flood fill (DESIGN.md §9).
+  bool connected_ = true;
+  /// An arrival since the last solve touched no populated arc: it formed a
+  /// component of its own, and the rest of the fabric may hold no dirty arc.
+  bool isolated_add_ = false;
+  /// A removal since the last solve failed path_stays_covered: the fabric
+  /// may have split, so the solve cannot vouch for connected_ afterwards.
+  bool maybe_split_ = false;
   std::vector<std::uint32_t> finish_heap_;
   /// Flow view materialized on demand by find_flow/visit_active_flows.
   mutable Flow view_flow_;

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <map>
 #include <vector>
@@ -467,6 +468,122 @@ OracleCheck check_random_load(const kn::Topology& topology, std::uint64_t seed, 
   return check;
 }
 
+using PathMap = std::map<kn::FlowId, std::vector<kn::Arc>>;
+
+PathMap active_paths(const kn::Network& net) {
+  PathMap paths;
+  net.visit_active_flows([&paths](const kn::Flow& f) { paths[f.id] = f.path; });
+  return paths;
+}
+
+/// What a flood fill over the flow/arc sharing graph of `flows` reaches
+/// from the populated arcs among `seeds`.
+struct FillCount {
+  std::uint64_t arcs = 0;
+  std::uint64_t flows = 0;
+};
+
+FillCount flood_fill(const PathMap& flows, const std::vector<std::uint32_t>& seeds,
+                     std::size_t num_arcs) {
+  std::vector<const std::vector<kn::Arc>*> paths;
+  std::vector<std::vector<std::size_t>> members(num_arcs);
+  for (const auto& [id, path] : flows) {
+    for (const kn::Arc arc : path) members[arc.index()].push_back(paths.size());
+    paths.push_back(&path);
+  }
+  std::vector<std::uint8_t> arc_seen(num_arcs, 0);
+  std::vector<std::uint8_t> flow_seen(paths.size(), 0);
+  std::vector<std::uint32_t> stack;
+  for (const std::uint32_t ai : seeds) {
+    if (members[ai].empty() || arc_seen[ai]) continue;
+    arc_seen[ai] = 1;
+    stack.push_back(ai);
+  }
+  FillCount count;
+  while (!stack.empty()) {
+    const std::uint32_t ai = stack.back();
+    stack.pop_back();
+    ++count.arcs;
+    for (const std::size_t fi : members[ai]) {
+      if (flow_seen[fi]) continue;
+      flow_seen[fi] = 1;
+      ++count.flows;
+      for (const kn::Arc arc : *paths[fi]) {
+        if (!arc_seen[arc.index()]) {
+          arc_seen[arc.index()] = 1;
+          stack.push_back(arc.index());
+        }
+      }
+    }
+  }
+  return count;
+}
+
+/// What step_against_fill_oracle saw, counted over simulator events.
+struct FillCheck {
+  std::size_t solving_events = 0;   ///< events whose fill reached an arc
+  std::size_t batch_removals = 0;   ///< events that removed two or more flows
+  std::size_t capacity_events = 0;  ///< events that rewrote a link capacity
+};
+
+/// Steps an incremental-mode `sim` to the end. After every event, the
+/// growth of `flows_visited` and `links_touched` must equal what a flood
+/// fill of the event's dirty arcs reaches: the paths of flows it added or
+/// removed plus both arcs of every link whose capacity it changed. A solve
+/// of more than the dirty components (say, the whole fabric when the
+/// fabric was split) leaves every rate right but fails here.
+FillCheck step_against_fill_oracle(ks::Simulator& sim, const kn::Network& net) {
+  FillCheck check;
+  const kn::Topology& topo = net.topology();
+  const auto link_caps = [&topo] {
+    std::vector<double> caps;
+    for (kn::LinkId l = 0; l < topo.num_links(); ++l) caps.push_back(topo.link(l).capacity.bps());
+    return caps;
+  };
+  PathMap before = active_paths(net);
+  std::vector<double> caps_before = link_caps();
+  kn::SchedulerStats stats_before = net.scheduler_stats();
+  std::size_t steps = 0;
+  while (sim.step()) {
+    ++steps;
+    PathMap after = active_paths(net);
+    std::vector<double> caps_after = link_caps();
+    std::vector<std::uint32_t> dirty;
+    std::size_t removed = 0;
+    for (const auto& [id, path] : before) {
+      if (after.count(id) != 0) continue;
+      ++removed;
+      for (const kn::Arc arc : path) dirty.push_back(arc.index());
+    }
+    for (const auto& [id, path] : after) {
+      if (before.count(id) != 0) continue;
+      for (const kn::Arc arc : path) dirty.push_back(arc.index());
+    }
+    bool rewrote = false;
+    for (kn::LinkId l = 0; l < topo.num_links(); ++l) {
+      if (caps_after[l] == caps_before[l]) continue;
+      rewrote = true;
+      dirty.push_back(kn::Arc{l, 0}.index());
+      dirty.push_back(kn::Arc{l, 1}.index());
+    }
+    const FillCount expected = flood_fill(after, dirty, topo.num_arcs());
+    const kn::SchedulerStats& stats = net.scheduler_stats();
+    EXPECT_EQ(stats.links_touched - stats_before.links_touched, expected.arcs)
+        << "arcs solved by event " << steps;
+    EXPECT_EQ(stats.flows_visited - stats_before.flows_visited, expected.flows)
+        << "flows solved by event " << steps;
+    if (::testing::Test::HasFailure()) break;  // one detailed failure beats thousands
+    if (expected.arcs > 0) ++check.solving_events;
+    if (removed >= 2) ++check.batch_removals;
+    if (rewrote) ++check.capacity_events;
+    before = std::move(after);
+    caps_before = std::move(caps_after);
+    stats_before = stats;
+  }
+  net.audit_scheduler();
+  return check;
+}
+
 }  // namespace
 
 // 60 seeded scenarios x 5 topologies, every one with faults: the core
@@ -745,5 +862,165 @@ TEST(SchedulerDifferential, CapEqualToShareMatchesPreviousSolver) {
     const OracleCheck check = step_against_previous_solver(sim, net);
     EXPECT_GT(check.cap_tied, 0u) << "no event tied the cap with a share";
     if (HasFailure()) return;
+  }
+}
+
+// The whole-fabric solve and the flood fill's early exit must solve exactly
+// the dirty components, never more: rates cannot tell (a superset solve
+// gives every flow the same rate), so the fill oracle above counts what each
+// event solved. Each scripted case runs on an 8-host star without latency,
+// where the flow named hA->hB crosses the arcs up(hA) and down(hB); `end`
+// names the flows a case expects to be active when it finishes.
+TEST(SchedulerDifferential, SolvesExactlyTheDirtyComponents) {
+  unsetenv("KEDDAH_REFERENCE_SCHEDULER");  // pin the mode via NetworkOptions
+  struct Start {
+    double at;
+    std::size_t src, dst;
+    double bytes;
+  };
+  struct Case {
+    const char* name;
+    std::vector<Start> flows;
+    /// Extra fault actions, scheduled as given.
+    std::function<void(ks::Simulator&, kn::Network&)> faults;
+    std::size_t min_batch_removals;
+    std::size_t min_capacity_events;
+  };
+  const Case cases[] = {
+      // h0->h1 joins h0->h2 (up h0) and h3->h1 (down h1) into one
+      // component; its early finish splits them, so a whole-fabric solve is
+      // still exact then but the fabric is no longer one component. The
+      // later h0->h4 must re-solve h0->h2's piece only.
+      {"removal splits the fabric",
+       {{0.0, 0, 1, 2e6}, {0.0, 0, 2, 2e7}, {0.0, 3, 1, 2e7}, {0.05, 0, 4, 1e7}},
+       nullptr, 0, 0},
+      // h5->h6 arrives beside the one component h0->h1 + h0->h2 and must be
+      // solved alone; h5->h7 then joins it.
+      {"isolated arrival while connected",
+       {{0.0, 0, 1, 2e7}, {0.0, 0, 2, 2e7}, {0.01, 5, 6, 2e7}, {0.02, 5, 7, 2e7}},
+       nullptr, 0, 0},
+      // Two components finish a flow each at the same instant; the fill
+      // after that event reaches every populated arc, but only on its second
+      // traversal, so the fabric is not one component. h0->h6 must then
+      // re-solve h0's component only.
+      {"simultaneous completions in two components",
+       {{0.0, 0, 1, 1e6}, {0.0, 0, 2, 1e7}, {0.0, 3, 4, 1e6}, {0.0, 3, 5, 1e7},
+        {0.05, 0, 6, 1e7}},
+       nullptr, 1, 0},
+      // One component; h0 fails and its three flows abort in one batch,
+      // leaving h1->h3 and h4->h3, then h1->h5 joins.
+      {"abort_flows_touching batch",
+       {{0.0, 0, 1, 2e7}, {0.0, 0, 2, 2e7}, {0.0, 3, 0, 2e7}, {0.0, 1, 3, 2e7},
+        {0.0, 4, 3, 2e7}, {0.05, 1, 5, 1e7}},
+       [](ks::Simulator& sim, kn::Network& net) {
+         sim.schedule_at(0.01, [&net] {
+           const kn::NodeId h0 = net.topology().hosts()[0];
+           net.set_node_down(h0);
+           EXPECT_EQ(net.abort_flows_touching(h0), 3u);
+         });
+       },
+       1, 0},
+      // Capacity rewrites on one component: a busy link (the whole
+      // component is dirty), an idle one (nothing is), and after h5->h6
+      // makes a second component, a busy link of one of the two.
+      {"capacity rewrite",
+       {{0.0, 0, 1, 2e7}, {0.0, 0, 2, 2e7}, {0.0, 3, 1, 2e7}, {0.03, 5, 6, 2e7}},
+       [](ks::Simulator& sim, kn::Network& net) {
+         const auto link_of = [&net](std::size_t host) {
+           return net.topology().links_at(net.topology().hosts()[host]).front();
+         };
+         const kn::LinkId busy = link_of(0), idle = link_of(7), other = link_of(3);
+         sim.schedule_at(0.01, [&net, busy] { net.set_link_capacity(busy, ku::Rate::bps(5e8)); });
+         sim.schedule_at(0.02, [&net, idle] { net.set_link_capacity(idle, ku::Rate::bps(5e8)); });
+         sim.schedule_at(0.04, [&net, other] { net.set_link_capacity(other, ku::Rate::bps(5e8)); });
+       },
+       0, 3},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ks::Simulator sim;
+    kn::NetworkOptions opts;
+    opts.model_latency = false;
+    kn::Network net(sim, kn::make_star(8, 1e9, 1e-4), opts);
+    const auto h = net.topology().hosts();
+    for (const Start& f : c.flows) {
+      sim.schedule_at(f.at, [&net, src = h[f.src], dst = h[f.dst], bytes = f.bytes] {
+        net.start_flow(src, dst, ku::Bytes(bytes), {}, nullptr);
+      });
+    }
+    if (c.faults) c.faults(sim, net);
+    const FillCheck check = step_against_fill_oracle(sim, net);
+    EXPECT_GE(check.solving_events, c.flows.size());
+    EXPECT_GE(check.batch_removals, c.min_batch_removals);
+    EXPECT_GE(check.capacity_events, c.min_capacity_events);
+    if (HasFailure()) return;
+  }
+}
+
+// The fill oracle over random loads in the incremental mode: the dense
+// oversubscribed 4x4 rack tree (one component most of the time), a 3x4
+// rack tree and a k=4 fat tree, each with link degradations and restores,
+// targeted aborts and node failures that abort a batch of flows.
+TEST(SchedulerDifferential, RandomLoadsSolveExactlyTheDirtyComponents) {
+  unsetenv("KEDDAH_REFERENCE_SCHEDULER");  // pin the mode via NetworkOptions
+  const struct Shape {
+    const char* name;
+    kn::Topology topology;
+  } shapes[] = {{"oversubscribed 4x4", kn::make_rack_tree(4, 4, 1e9, 1e9, 1e-4)},
+                {"rack tree 3x4", kn::make_rack_tree(3, 4, 1e9, 10e9, 1e-4)},
+                {"fat tree k=4", kn::make_fat_tree(4, 1e9, 1e-4)}};
+  for (const Shape& shape : shapes) {
+    std::size_t batch_removals = 0;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(std::string(shape.name) + " seed " + std::to_string(seed));
+      ks::Simulator sim;
+      kn::NetworkOptions opts;
+      opts.model_latency = (seed % 2 == 0);
+      kn::Network net(sim, shape.topology, opts);
+      const auto hosts = net.topology().hosts();
+      ku::Rng rng(seed);
+      const auto pick_host = [&rng, &hosts] {
+        return hosts[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1))];
+      };
+      const std::size_t num_flows = 150;
+      for (std::size_t i = 0; i < num_flows; ++i) {
+        const auto src = pick_host();
+        auto dst = pick_host();
+        if (dst == src) dst = hosts[(static_cast<std::size_t>(dst) + 1) % hosts.size()];
+        const double bytes = std::pow(10.0, rng.uniform(4.5, 7.0));
+        const double cap = rng.chance(0.25) ? 1e9 / static_cast<double>(rng.uniform_int(2, 16)) : 0.0;
+        sim.schedule_at(rng.uniform(0.0, 1.0), [&net, src, dst, bytes, cap] {
+          net.start_flow(src, dst, ku::Bytes(bytes), {}, nullptr, ku::Rate::bps(cap));
+        });
+      }
+      for (int i = 0; i < 3; ++i) {
+        const auto link = static_cast<kn::LinkId>(
+            rng.uniform_int(0, static_cast<std::int64_t>(net.topology().num_links()) - 1));
+        const double at = rng.uniform(0.1, 1.0);
+        sim.schedule_at(at, [&net, link] {
+          net.set_link_capacity(link, net.topology().link(link).capacity * 0.5);
+        });
+        sim.schedule_at(at + 0.5, [&net, link] {
+          net.set_link_capacity(link, net.topology().link(link).capacity * 2.0);
+        });
+        const auto victim =
+            static_cast<kn::FlowId>(rng.uniform_int(1, static_cast<std::int64_t>(num_flows)));
+        sim.schedule_at(rng.uniform(0.1, 1.5), [&net, victim] { net.abort_flow(victim); });
+        const auto node = pick_host();
+        const double down = rng.uniform(0.3, 0.9);
+        sim.schedule_at(down, [&net, node] {
+          net.set_node_down(node);
+          net.abort_flows_touching(node);
+        });
+        sim.schedule_at(down + 0.3, [&net, node] { net.set_node_up(node); });
+      }
+      const FillCheck check = step_against_fill_oracle(sim, net);
+      EXPECT_GT(check.solving_events, num_flows);
+      EXPECT_GT(check.capacity_events, 0u);
+      batch_removals += check.batch_removals;
+      if (HasFailure()) return;
+    }
+    EXPECT_GT(batch_removals, 0u) << shape.name << ": no event removed two flows at once";
   }
 }
