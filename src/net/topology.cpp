@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -15,6 +16,9 @@ namespace {
 /// Equal-cost candidates one routing pass records; a wider hop (more than
 /// this many next hops at one distance) re-scans to find its pick.
 constexpr std::size_t kEcmpBuffer = 64;
+
+/// Rows one bit-parallel BFS builds: one per bit of its reach masks.
+constexpr std::uint32_t kRowBatch = 64;
 
 /// Deterministic 64-bit mix for ECMP next-hop selection.
 std::uint64_t mix(std::uint64_t x) {
@@ -145,12 +149,20 @@ void Topology::build_routing_index() const {
   const auto is_leaf = [&sole](std::size_t u) {
     return sole[u] != kInvalidNode && sole[sole[u]] == kInvalidNode;
   };
+  // Anchors take the first transit indices, then the other transit nodes,
+  // each group in node order.
+  std::vector<bool> anchors(n, false);
+  for (std::size_t u = 0; u < n; ++u) {
+    if (is_leaf(u)) anchors[sole[u]] = true;
+  }
   places_.assign(n, Place{0, 0});
   transit_nodes_.clear();
-  for (std::size_t u = 0; u < n; ++u) {
-    if (is_leaf(u)) continue;
-    places_[u] = Place{static_cast<std::uint32_t>(transit_nodes_.size()), 0};
-    transit_nodes_.push_back(NodeId(static_cast<std::uint32_t>(u)));
+  for (const bool anchor_pass : {true, false}) {
+    for (std::size_t u = 0; u < n; ++u) {
+      if (is_leaf(u) || anchors[u] != anchor_pass) continue;
+      places_[u] = Place{static_cast<std::uint32_t>(transit_nodes_.size()), 0};
+      transit_nodes_.push_back(NodeId(static_cast<std::uint32_t>(u)));
+    }
   }
   for (std::size_t u = 0; u < n; ++u) {
     if (is_leaf(u)) places_[u] = Place{places_[sole[u]].transit, 1};
@@ -164,36 +176,62 @@ void Topology::build_routing_index() const {
     }
   }
   transit_begin_[n] = static_cast<std::uint32_t>(transit_arcs_.size());
-  row_slot_.assign(transit_nodes_.size(), -1);
-  rows_.clear();
+  row_batches_.assign((transit_nodes_.size() + kRowBatch - 1) / kRowBatch, {});
   routing_built_ = true;
 }
 
 const std::int16_t* Topology::row(std::uint32_t anchor) const {
-  std::int32_t& slot = row_slot_[anchor];
-  if (slot >= 0) return rows_[static_cast<std::size_t>(slot)].data();
-  slot = static_cast<std::int32_t>(rows_.size());
+  const std::uint32_t batch = anchor / kRowBatch;
+  if (row_batches_[batch].empty()) build_row_batch(batch);
+  return row_batches_[batch].data() + std::size_t{anchor % kRowBatch} * transit_nodes_.size();
+}
+
+void Topology::build_row_batch(std::uint32_t batch) const {
   const std::size_t width = transit_nodes_.size();
-  std::vector<std::int16_t>& dist = rows_.emplace_back(width, -1);
+  const std::uint32_t first = batch * kRowBatch;
+  const auto count = static_cast<std::uint32_t>(std::min<std::size_t>(kRowBatch, width - first));
+  std::vector<std::int16_t>& rows = row_batches_[batch];
+  rows.assign(std::size_t{count} * width, -1);
+  // Bit j of seen[t] / reach[t]: source first + j has reached transit node
+  // t / reached it at the current level. Links are full duplex, so the
+  // transit arcs out of t are also the arcs into it.
+  std::vector<std::uint64_t> seen(width, 0);
+  std::vector<std::uint64_t> reach(width, 0);
+  std::vector<std::uint64_t> next(width, 0);
   std::vector<std::uint32_t> frontier;
-  frontier.reserve(width);
-  dist[anchor] = 0;
-  frontier.push_back(anchor);
-  for (std::size_t i = 0; i < frontier.size(); ++i) {
-    const std::uint32_t t = frontier[i];
-    if (dist[t] == std::numeric_limits<std::int16_t>::max()) {
+  std::vector<std::uint32_t> grown;
+  for (std::uint32_t j = 0; j < count; ++j) {
+    seen[first + j] = reach[first + j] = std::uint64_t{1} << j;
+    rows[j * width + first + j] = 0;
+    frontier.push_back(first + j);
+  }
+  for (std::int16_t level = 0; !frontier.empty(); ++level) {
+    if (level == std::numeric_limits<std::int16_t>::max()) {
       throw std::runtime_error("topology: diameter overflows the int16 distance cache");
     }
-    const NodeId u = transit_nodes_[t];
-    for (std::uint32_t e = transit_begin_[u]; e < transit_begin_[u + 1]; ++e) {
-      const std::uint32_t v = transit_arcs_[e].transit;
-      if (dist[v] < 0) {
-        dist[v] = static_cast<std::int16_t>(dist[t] + 1);
-        frontier.push_back(v);
+    for (const std::uint32_t t : frontier) {
+      const NodeId u = transit_nodes_[t];
+      for (std::uint32_t e = transit_begin_[u]; e < transit_begin_[u + 1]; ++e) {
+        const std::uint32_t v = transit_arcs_[e].transit;
+        const std::uint64_t fresh = reach[t] & ~seen[v];
+        if (fresh == 0) continue;
+        if (next[v] == 0) grown.push_back(v);
+        next[v] |= fresh;
+        seen[v] |= fresh;
       }
     }
+    for (const std::uint32_t t : frontier) reach[t] = 0;
+    for (const std::uint32_t v : grown) {
+      for (std::uint64_t bits = next[v]; bits != 0; bits &= bits - 1) {
+        rows[static_cast<std::size_t>(std::countr_zero(bits)) * width + v] =
+            static_cast<std::int16_t>(level + 1);
+      }
+      reach[v] = next[v];
+      next[v] = 0;
+    }
+    frontier.swap(grown);
+    grown.clear();
   }
-  return dist.data();
 }
 
 std::vector<Arc> Topology::route(NodeId src, NodeId dst, std::uint64_t flow_key) const {
@@ -201,13 +239,17 @@ std::vector<Arc> Topology::route(NodeId src, NodeId dst, std::uint64_t flow_key)
   std::vector<Arc> path;
   if (src == dst) return path;  // loopback: no network arcs
   if (!routing_built_) build_routing_index();
+  const Place from = places_[src];
   const Place to = places_[dst];
-  const std::int16_t* dist = row(to.transit);
-  const int hops = hop_count(places_[src], to, dist);
+  // Under a shared anchor (every rack-local flow) the transit distance is 0
+  // and no hop below needs a row.
+  const std::int16_t* dist = from.transit == to.transit ? nullptr : row(to.transit);
+  const int hops = hop_count(from, to, dist);
   if (hops < 0) {
     throw std::runtime_error("topology: no path " + nodes_[src].name + " -> " + nodes_[dst].name);
   }
   path.reserve(static_cast<std::size_t>(hops));
+  const TransitArc* arcs = transit_arcs_.data();
   NodeId here = src;
   for (int hop = 0; hop < hops; ++hop) {
     // Hash-based per-flow ECMP: stable for one flow, spread across flows.
@@ -220,24 +262,32 @@ std::vector<Arc> Topology::route(NodeId src, NodeId dst, std::uint64_t flow_key)
       // Last hop into a leaf: its arcs all lead to `here`, and both ends
       // list a node pair's links in creation order, so the leaf's own arcs,
       // reversed, are the candidates in `here`'s adjacency order.
-      const auto& adj = adjacency_[dst];
-      const Arc back = adj[h % adj.size()].second;
+      const std::uint32_t begin = transit_begin_[dst];
+      const Arc back = arcs[begin + h % (transit_begin_[dst + 1] - begin)].arc;
       path.push_back(Arc{back.link, static_cast<std::uint8_t>(back.dir ^ 1u)});
       break;
     }
-    // Any other hop goes to a transit neighbour one hop closer: a leaf
-    // neighbour other than dst is one hop *further*, its only way on being
-    // back through `here`. The last hop takes the arcs to dst itself, so
-    // parallel links stay distinct candidates.
-    const TransitArc* arcs = transit_arcs_.data();
     const std::uint32_t begin = transit_begin_[here];
     const std::uint32_t end = transit_begin_[here + 1];
-    const int want = hops - hop - 1 - static_cast<int>(to.leaf);
-    const std::uint32_t next =
-        hop + 1 == hops
-            ? pick_arc(begin, end, h, [arcs, dst](std::uint32_t e) { return arcs[e].to == dst; })
-            : pick_arc(begin, end, h,
-                       [arcs, dist, want](std::uint32_t e) { return dist[arcs[e].transit] == want; });
+    std::uint32_t next;
+    if (hop == 0 && from.leaf != 0) {
+      // Out of a leaf: every arc leads to its anchor, one hop closer.
+      next = begin + static_cast<std::uint32_t>(h % (end - begin));
+    } else {
+      // Any other hop goes to a transit neighbour one hop closer: a leaf
+      // neighbour other than dst is one hop *further*, its only way on
+      // being back through `here`. Distance 0 is dst's anchor (dst itself
+      // when it is transit), found by its transit index without the row;
+      // parallel links into it stay distinct candidates.
+      const int want = hops - hop - 1 - static_cast<int>(to.leaf);
+      const std::uint32_t anchor = to.transit;
+      next = want == 0
+                 ? pick_arc(begin, end, h,
+                            [arcs, anchor](std::uint32_t e) { return arcs[e].transit == anchor; })
+                 : pick_arc(begin, end, h, [arcs, dist, want](std::uint32_t e) {
+                     return dist[arcs[e].transit] == want;
+                   });
+    }
     path.push_back(arcs[next].arc);
     here = arcs[next].to;
   }
@@ -254,14 +304,15 @@ int Topology::distance(NodeId src, NodeId dst) const {
   if (src >= nodes_.size() || dst >= nodes_.size()) throw std::out_of_range("topology: bad node id");
   if (src == dst) return 0;
   if (!routing_built_) build_routing_index();
+  const Place from = places_[src];
   const Place to = places_[dst];
-  return hop_count(places_[src], to, row(to.transit));
+  return hop_count(from, to, from.transit == to.transit ? nullptr : row(to.transit));
 }
 
 int Topology::hop_count(Place from, Place to, const std::int16_t* to_row) {
   // A leaf sits one hop beyond its anchor, and every path into or out of it
   // passes that anchor, so the anchors' transit distance is exact.
-  const int d = to_row[from.transit];
+  const int d = to_row == nullptr ? 0 : to_row[from.transit];
   return d < 0 ? -1 : d + static_cast<int>(from.leaf + to.leaf);
 }
 

@@ -145,15 +145,21 @@ class Topology {
   /// BFS hop distances from every transit node to transit node `anchor`,
   /// indexed by transit index and built on first use. A shortest path
   /// between transit nodes never enters a leaf (a leaf is a dead end), so
-  /// the BFS walks transit arcs only and a k=36 fat-tree row has 2,916
-  /// entries, not 13,284. Entries are int16_t: any real topology's diameter
-  /// fits with five orders of magnitude to spare, and BFS throws if a
-  /// distance would overflow. The pointer stays valid until the graph
-  /// changes.
+  /// the BFS walks transit arcs only and a k=36 fat-tree row has 1,620
+  /// entries, not 13,284. Rows come in batches of 64 consecutive transit
+  /// indices, built together by one bit-parallel BFS into one block.
+  /// Entries are int16_t: any real topology's diameter fits with five orders
+  /// of magnitude to spare, and the BFS throws if a distance would overflow.
+  /// The pointer stays valid until the graph changes.
   const std::int16_t* row(std::uint32_t anchor) const;
 
+  /// Fills row_batches_[batch]: one BFS from all of the batch's transit
+  /// nodes at once, each carried as one bit of a 64-bit reach mask.
+  void build_row_batch(std::uint32_t batch) const;
+
   /// Hop distance between two distinct nodes at `from` and `to`, given the
-  /// row of `to`'s anchor; -1 when unreachable.
+  /// row of `to`'s anchor, or null when both share that anchor; -1 when
+  /// unreachable.
   static int hop_count(Place from, Place to, const std::int16_t* to_row);
 
   NodeId add_node(const std::string& name, int rack, bool is_switch);
@@ -168,17 +174,19 @@ class Topology {
   /// Routing index, rebuilt lazily after any add_node/add_link.
   mutable bool routing_built_ = false;
   mutable std::vector<Place> places_;
-  /// Transit node of each transit index.
+  /// Transit node of each transit index. Nodes that anchor a leaf come
+  /// first, so the row batches that routes to hosts need are dense.
   mutable std::vector<NodeId> transit_nodes_;
   /// CSR transit adjacency: node n's arcs to transit neighbours are
   /// transit_arcs_[transit_begin_[n] .. transit_begin_[n + 1]), in adjacency
   /// order. A leaf keeps all its arcs (they all go to its anchor).
   mutable std::vector<std::uint32_t> transit_begin_;
   mutable std::vector<TransitArc> transit_arcs_;
-  /// row_slot_[t] indexes transit node t's row in rows_, or is -1 while
-  /// unbuilt: only anchors that are routed to get a row.
-  mutable std::vector<std::int32_t> row_slot_;
-  mutable std::vector<std::vector<std::int16_t>> rows_;
+  /// row_batches_[b] holds the rows of transit indices [64b, 64b + 64)
+  /// back to back, one allocation per batch, or is
+  /// empty while unbuilt: only batches holding an anchor that is routed to
+  /// are built.
+  mutable std::vector<std::vector<std::int16_t>> row_batches_;
 };
 
 /// Topology builders used across tests, examples, and benches. All hosts are

@@ -9,41 +9,59 @@
 
 namespace keddah::sim {
 
+bool Simulator::is_live(EventId id) const {
+  const std::uint64_t slot = id & kSlotMask;
+  const std::uint64_t generation = id >> kSlotBits;
+  return slot < slots_.size() && slots_[slot].generation == generation && generation % 2 == 1;
+}
+
+EventId Simulator::advance(std::uint32_t slot, std::uint64_t step) {
+  std::uint64_t& generation = slots_[slot].generation;
+  if (generation + step > kMaxGeneration) {
+    throw std::overflow_error("sim: event slot " + std::to_string(slot) +
+                              " ran out of 40-bit generations");
+  }
+  generation += step;
+  return (generation << kSlotBits) | slot;
+}
+
+void Simulator::release(EventId id) {
+  const auto slot = static_cast<std::uint32_t>(id & kSlotMask);
+  ++slots_[slot].generation;
+  free_slots_.push_back(slot);
+  --live_;
+}
+
 // keddah:hot(schedule)
 EventId Simulator::schedule_at(Time at, std::function<void()> fn) {
   if (at < now_) throw std::invalid_argument("sim: schedule_at in the past");
-  const EventId id = next_id_++;
-  // archlint:allow(hot-shared-ptr): the callback must outlive both the heap
-  // entry and the live map under lazy deletion; one control block per event
-  // is the ownership model, not an accident.
-  // archlint:allow(hot-std-function): the simulator's public contract is an
-  // arbitrary callable per event; type erasure happens once at scheduling,
-  // never on dispatch.
-  auto shared = std::make_shared<std::function<void()>>(std::move(fn));
-  queue_.push(Entry{at, next_seq_++, id, shared});
-  // archlint:allow(hot-node-container): keyed by sparse, monotonically
-  // growing EventId with random-order erase (cancel/reschedule); a flat
-  // slot map would need its own free-list and generation tags for the
-  // same node cost amortized.
-  live_.emplace(id, std::move(shared));
+  const bool reuse = !free_slots_.empty();
+  if (!reuse && slots_.size() > kSlotMask) {
+    throw std::length_error("sim: more than 2^24 events pending at once");
+  }
+  const std::uint32_t slot =
+      reuse ? free_slots_.back() : static_cast<std::uint32_t>(slots_.size());
+  // archlint:allow(hot-push-back): the slot table grows only to the
+  // high-water mark of pending events; after that every slot comes off the
+  // free list, so no event allocates.
+  if (!reuse) slots_.emplace_back();
+  // A free slot's generation is even; the event makes it odd.
+  const EventId id = advance(slot, 1);
+  if (reuse) free_slots_.pop_back();
+  slots_[slot].fn = std::move(fn);
+  ++live_;
+  queue_.push(Entry{at, next_seq_++, id});
   return id;
 }
 
 // keddah:hot(reschedule)
 EventId Simulator::reschedule(EventId id, Time at) {
-  const auto it = live_.find(id);
-  if (it == live_.end()) return kInvalidEvent;
+  if (!is_live(id)) return kInvalidEvent;
   if (at < now_) throw std::invalid_argument("sim: reschedule in the past");
-  auto fn = std::move(it->second);
-  // archlint:allow(hot-node-container): lazy-deletion bookkeeping; the
-  // erased node's callback is moved into the new entry, so no callback
-  // copy occurs -- only the map node itself churns.
-  live_.erase(it);  // the stale heap entry is skimmed lazily
-  const EventId nid = next_id_++;
-  queue_.push(Entry{at, next_seq_++, nid, fn});
-  // archlint:allow(hot-node-container): see the allow in schedule_at;
-  // same sparse-key lazy-deletion design.
-  live_.emplace(nid, std::move(fn));
+  // The callback stays put; the old heap entry goes stale and is skimmed
+  // lazily.
+  const EventId nid = advance(static_cast<std::uint32_t>(id & kSlotMask), 2);
+  queue_.push(Entry{at, next_seq_++, nid});
   return nid;
 }
 
@@ -53,13 +71,17 @@ EventId Simulator::schedule_in(Time delay, std::function<void()> fn) {
 }
 
 bool Simulator::cancel(EventId id) {
-  // Lazy deletion: drop from the live set; the heap entry is skipped when
-  // it reaches the top.
-  return live_.erase(id) != 0;
+  // Lazy deletion: free the slot; the heap entry is skipped when it reaches
+  // the top. The callback dies after the bookkeeping, so a destructor that
+  // re-enters the simulator sees a consistent table.
+  if (!is_live(id)) return false;
+  const auto dead = std::move(slots_[id & kSlotMask].fn);
+  release(id);
+  return true;
 }
 
 void Simulator::skim_cancelled() {
-  while (!queue_.empty() && live_.find(queue_.top().id) == live_.end()) queue_.pop();
+  while (!queue_.empty() && !is_live(queue_.top().id)) queue_.pop();
 }
 
 void Simulator::audit_clock(Time next) const {
@@ -73,17 +95,17 @@ void Simulator::audit_clock(Time next) const {
 bool Simulator::step() {
   skim_cancelled();
   if (queue_.empty()) return false;
-  Entry entry = queue_.top();
+  const Entry entry = queue_.top();
   queue_.pop();
-  // archlint:allow(hot-node-container): retiring the dispatched event from
-  // the live set is the lazy-deletion contract; the node free pairs the
-  // node alloc from schedule_at.
-  live_.erase(entry.id);
+  // The callback leaves its slot before it runs: it may schedule events,
+  // which can reuse the slot or grow (and move) the slot table.
+  const auto fn = std::move(slots_[entry.id & kSlotMask].fn);
+  release(entry.id);
   assert(entry.at >= now_);
   if constexpr (util::kAuditEnabled) audit_clock(entry.at);
   now_ = entry.at;
   ++executed_;
-  (*entry.fn)();
+  fn();
   return true;
 }
 

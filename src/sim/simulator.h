@@ -9,9 +9,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 namespace keddah::sim {
@@ -20,6 +18,9 @@ namespace keddah::sim {
 using Time = double;
 
 /// Opaque handle identifying a scheduled event; usable for cancellation.
+/// It packs the event's callback slot (low 24 bits) and that slot's
+/// generation (high 40 bits), so a handle to a fired or cancelled event
+/// never names the slot's next occupant.
 using EventId = std::uint64_t;
 
 /// Sentinel for "no event".
@@ -36,7 +37,8 @@ class Simulator {
   Time now() const { return now_; }
 
   /// Schedules `fn` to run at absolute time `at` (must be >= now()).
-  /// Returns a handle usable with cancel().
+  /// Returns a handle usable with cancel(). Throws std::length_error when
+  /// 2^24 events are already pending.
   EventId schedule_at(Time at, std::function<void()> fn);
 
   /// Schedules `fn` to run `delay` seconds from now (delay >= 0).
@@ -47,9 +49,9 @@ class Simulator {
   /// was pending and is now cancelled.
   bool cancel(EventId id);
 
-  /// Moves a pending event to absolute time `at`, reusing its callback
-  /// (no std::function re-allocation), and returns the new handle; the old
-  /// handle is dead. Returns kInvalidEvent when `id` is not pending. This is
+  /// Moves a pending event to absolute time `at`, reusing its callback slot
+  /// (nothing is allocated), and returns the new handle; the old handle is
+  /// dead. Returns kInvalidEvent when `id` is not pending. This is
   /// the re-arm primitive for components that keep one outstanding event
   /// whose deadline moves around (the network's next-completion event).
   EventId reschedule(EventId id, Time at);
@@ -63,7 +65,7 @@ class Simulator {
   bool step();
 
   /// Number of live (not cancelled, not yet fired) events.
-  std::size_t pending() const { return live_.size(); }
+  std::size_t pending() const { return live_; }
 
   /// Total events executed since construction.
   std::uint64_t executed() const { return executed_; }
@@ -76,28 +78,49 @@ class Simulator {
   void audit_clock(Time next) const;
 
  private:
+  static constexpr int kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr std::uint64_t kMaxGeneration = (std::uint64_t{1} << (64 - kSlotBits)) - 1;
+
+  /// Heap entries are trivially copyable; the callback stays in its slot.
+  /// An entry is stale once its slot's generation moved past `id`'s.
   struct Entry {
     Time at;
     std::uint64_t seq;
     EventId id;
-    // Heap entries must be copyable; the callback lives out-of-line.
-    std::shared_ptr<std::function<void()>> fn;
     bool operator>(const Entry& other) const {
       if (at != other.at) return at > other.at;
       return seq > other.seq;
     }
   };
 
+  /// One callback slot. `generation` is odd while an event occupies the
+  /// slot and even while it is free; every schedule, reschedule, fire and
+  /// cancel advances it, which kills every handle issued before.
+  struct Slot {
+    std::function<void()> fn;
+    std::uint64_t generation = 0;
+  };
+
+  /// True when `id` names the event that occupies its slot now.
+  bool is_live(EventId id) const;
+
+  /// Advances `slot`'s generation by `step` and returns the handle for the
+  /// new generation; throws std::overflow_error past 40 generation bits.
+  EventId advance(std::uint32_t slot, std::uint64_t step);
+
+  /// Frees `id`'s slot for reuse; the caller has moved the callback out.
+  void release(EventId id);
+
   /// Pops cancelled entries off the heap top.
   void skim_cancelled();
 
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  /// Live events and their callbacks; the heap holds shared_ptr copies, so
-  /// reschedule() can move an event without copying the closure.
-  std::unordered_map<EventId, std::shared_ptr<std::function<void()>>> live_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t live_ = 0;
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
 };
 

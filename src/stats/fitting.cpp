@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "stats/kstest.h"
 #include "stats/special.h"
@@ -56,15 +57,16 @@ std::optional<Distribution> mle(DistFamily family, std::span<const double> xs) {
     case DistFamily::kWeibull: {
       if (!all_positive(xs) || all_equal(xs)) return std::nullopt;
       // Solve g(k) = sum x^k ln x / sum x^k - 1/k - mean(ln x) = 0.
+      std::vector<double> ln_xs(n);
       double mean_ln = 0.0;
-      for (const double x : xs) mean_ln += std::log(x);
+      for (std::size_t i = 0; i < n; ++i) mean_ln += ln_xs[i] = std::log(xs[i]);
       mean_ln /= static_cast<double>(n);
       auto g = [&](double k) {
         double num = 0.0;
         double den = 0.0;
-        for (const double x : xs) {
-          const double xk = std::pow(x, k);
-          num += xk * std::log(x);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double xk = std::pow(xs[i], k);
+          num += xk * ln_xs[i];
           den += xk;
         }
         return num / den - 1.0 / k - mean_ln;
@@ -72,10 +74,17 @@ std::optional<Distribution> mle(DistFamily family, std::span<const double> xs) {
       // Bracket then bisect: g is increasing in k.
       double lo = 1e-3;
       double hi = 1.0;
-      while (g(hi) < 0.0 && hi < 1e3) hi *= 2.0;
-      if (g(hi) < 0.0) return std::nullopt;
+      double g_hi = g(hi);
+      while (g_hi < 0.0 && hi < 1e3) {
+        hi *= 2.0;
+        g_hi = g(hi);
+      }
+      if (g_hi < 0.0) return std::nullopt;
       for (int i = 0; i < 100; ++i) {
         const double mid = 0.5 * (lo + hi);
+        // lo and hi are adjacent doubles: every later round would land on
+        // one of them again, and the k below is that same double.
+        if (mid == lo || mid == hi) break;
         (g(mid) < 0.0 ? lo : hi) = mid;
       }
       const double k = 0.5 * (lo + hi);

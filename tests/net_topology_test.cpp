@@ -337,6 +337,55 @@ TEST(Topology, RoutesMatchPerDestinationBfsReference) {
   expect_routes_match_reference(kn::make_dumbbell(3, 2, 1e9, 5e8, 1e-4), "dumbbell");
   expect_routes_match_reference(kn::make_fat_tree(4, 1e10, 1e-5, 4.0), "fat-tree k=4");
   expect_routes_match_reference(kn::make_fat_tree(8, 1e10, 1e-5, 4.0), "fat-tree k=8");
+  // k=12: 72 edge switches anchor hosts, so the anchors' rows span two
+  // 64-row batches and the aggregation and core rows a third.
+  const kn::Topology k12 = kn::make_fat_tree(12, 1e10, 1e-5, 4.0);
+  expect_routes_match_reference(k12, "fat-tree k=12");
+  {
+    // distance() alone on a fresh copy, last node first, so the batches
+    // are built in another order and by distance() rather than route().
+    SCOPED_TRACE("fat-tree k=12, distance only");
+    const kn::Topology fresh = kn::make_fat_tree(12, 1e10, 1e-5, 4.0);
+    ReferenceRouter ref(fresh);
+    std::size_t mismatches = 0;
+    for (std::uint32_t d = static_cast<std::uint32_t>(fresh.num_nodes()); d-- > 0;) {
+      for (std::uint32_t s = 0; s < fresh.num_nodes(); ++s) {
+        const kn::NodeId src(s);
+        const kn::NodeId dst(d);
+        if (fresh.distance(src, dst) != ref.distance(src, dst) && ++mismatches <= 3) {
+          ADD_FAILURE() << "distance " << fresh.node(src).name << " -> " << fresh.node(dst).name;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+
+  // Unreachable transit nodes inside one batch: two racks with no link
+  // between them, an isolated switch, and a switch chain hanging off rack A.
+  kn::Topology islands;
+  {
+    const auto link = [&islands](kn::NodeId a, kn::NodeId b) {
+      islands.add_link(a, b, ku::Rate::bps(1e9), ku::Seconds(1e-5));
+    };
+    const auto tor_a = islands.add_switch("torA");
+    const auto lonely = islands.add_switch("lonely");
+    const auto tor_b = islands.add_switch("torB");
+    const auto chain0 = islands.add_switch("chain0");
+    const auto chain1 = islands.add_switch("chain1");
+    link(tor_a, chain0);
+    link(chain0, chain1);
+    (void)lonely;
+    for (int i = 0; i < 3; ++i) {
+      link(islands.add_host("a" + std::to_string(i), 0), tor_a);
+      link(islands.add_host("b" + std::to_string(i), 1), tor_b);
+    }
+  }
+  expect_routes_match_reference(islands, "islands");
+  EXPECT_EQ(islands.distance(islands.find("a0"), islands.find("b0")), -1);
+  EXPECT_EQ(islands.distance(islands.find("chain1"), islands.find("torB")), -1);
+  EXPECT_EQ(islands.distance(islands.find("lonely"), islands.find("a1")), -1);
+  EXPECT_EQ(islands.distance(islands.find("chain1"), islands.find("a2")), 3);
+  EXPECT_EQ(islands.distance(islands.find("b1"), islands.find("b2")), 2);
 
   // Hand-built corner cases: a triangle of switches, plain leaf hosts, a
   // host homed on two different switches, a host with two parallel links to

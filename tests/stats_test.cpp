@@ -4,7 +4,12 @@
 // fit-recovers-parameters property.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "stats/distributions.h"
@@ -440,6 +445,84 @@ TEST(Fitting, AicPenalizesParameters) {
   // Gamma nests exponential, so its likelihood is >= but AIC should not be
   // much better; exponential should win or nearly tie on AIC.
   EXPECT_LT(exp_fit->aic, gamma_fit->aic + 4.0);
+}
+
+namespace {
+
+/// The Weibull MLE as it stood before it cached ln x, reused g(hi) and
+/// stopped the bisection at adjacent doubles: 100 full bisection rounds.
+/// Returns {k, lambda}, or {NaN, NaN} where the fit is refused.
+std::pair<double, double> weibull_mle_full_bisection(const std::vector<double>& xs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double n = static_cast<double>(xs.size());
+  double mean_ln = 0.0;
+  for (const double x : xs) mean_ln += std::log(x);
+  mean_ln /= n;
+  auto g = [&](double k) {
+    double num = 0.0;
+    double den = 0.0;
+    for (const double x : xs) {
+      const double xk = std::pow(x, k);
+      num += xk * std::log(x);
+      den += xk;
+    }
+    return num / den - 1.0 / k - mean_ln;
+  };
+  double lo = 1e-3;
+  double hi = 1.0;
+  while (g(hi) < 0.0 && hi < 1e3) hi *= 2.0;
+  if (g(hi) < 0.0) return {nan, nan};
+  for (int i = 0; i < 100; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    (g(mid) < 0.0 ? lo : hi) = mid;
+  }
+  const double k = 0.5 * (lo + hi);
+  double sum_xk = 0.0;
+  for (const double x : xs) sum_xk += std::pow(x, k);
+  const double lambda = std::pow(sum_xk / n, 1.0 / k);
+  if (!(k > 0.0) || !(lambda > 0.0)) return {nan, nan};
+  return {k, lambda};
+}
+
+}  // namespace
+
+// The Weibull MLE's early exit and cached logarithms are exact: k and lambda
+// match the full 100-round bisection bit for bit, on seeded samples of every
+// shape the trainer sees, on a sample whose root sits near the bracket's low
+// end and on one the bracket refuses.
+TEST(Fitting, WeibullMatchesFullBisectionBitForBit) {
+  std::vector<std::vector<double>> samples;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    ku::Rng rng(seed);
+    const std::size_t n = 5 + seed * 400;
+    const kst::Distribution sources[] = {
+        kst::Distribution::weibull(0.4 + 0.5 * static_cast<double>(seed), 3e5),
+        kst::Distribution::lognormal(12.0, 0.3 * static_cast<double>(seed)),
+        kst::Distribution::exponential(1e-6),
+        kst::Distribution::pareto(64.0, 1.1),
+        kst::Distribution::uniform(1.0, 2.0),
+    };
+    for (const auto& d : sources) {
+      std::vector<double>& xs = samples.emplace_back(n);
+      for (auto& x : xs) x = d.sample(rng);
+    }
+  }
+  samples.push_back({1.0, 2.0});
+  samples.push_back({1e-300, 1.0, 1e300});    // k near 0.002, the bracket's low end
+  samples.push_back({1.0, 1.0 + 1e-12, 1.0});  // root past 1e3: refused
+  std::size_t fitted = 0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    SCOPED_TRACE("sample " + std::to_string(i));
+    const auto [k, lambda] = weibull_mle_full_bisection(samples[i]);
+    const auto fit = kst::fit_family(kst::DistFamily::kWeibull, samples[i]);
+    ASSERT_EQ(fit.has_value(), !std::isnan(k));
+    if (!fit) continue;
+    ++fitted;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fit->dist.param1()), std::bit_cast<std::uint64_t>(k));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fit->dist.param2()),
+              std::bit_cast<std::uint64_t>(lambda));
+  }
+  EXPECT_GE(fitted, samples.size() - 1);
 }
 
 // ---------------------------------------------------------------- KS tests

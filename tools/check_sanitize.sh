@@ -41,7 +41,7 @@ cmake --build "${BUILD}" \
                net_differential_test golden_trace_test net_property_test \
                gen_test toolchain_test mix_test \
                spill_test capture_test api_test serve_test serve_chaos_test detlint_test \
-               archlint_test lint_test keddah \
+               archlint_test lint_test sim_test keddah \
                perf_scheduler perf_serve perf_scale perf_overload -j"$(nproc)"
 
 # The parallel subsystem, the network layer it drives concurrently, and the
@@ -54,8 +54,11 @@ cmake --build "${BUILD}" \
 # Replay|ClosedLoopReplay drive gen::replay, whose open-loop schedules merge
 # the fabric into one component: the dense solve path under the sanitizer.
 # Topology runs the transit-indexed router (CSR transit arcs, per-anchor
-# rows, a fixed ECMP stack buffer with its re-scan fallback) against its
-# per-destination BFS reference.
+# rows built 64 at a time, a fixed ECMP stack buffer with its re-scan
+# fallback) against its per-destination BFS reference.
+# Simulator drives the event kernel's slot map: handles packing a slot and
+# its generation, slot reuse after fire/cancel, and a callback that grows
+# the slot table while it runs from a callable moved out of its slot.
 # Trace|Collector|Classifier|Spill drive the collector into both sinks: the
 # in-memory Trace and the KSPL spill, whose reader indexes its mmap'd
 # records and id-keyed name table by offsets read from the file.
@@ -65,7 +68,7 @@ cmake --build "${BUILD}" \
 # JSON readers over every fixture, example and corpus mutation, with
 # their unknown-key warnings spliced into the diagnostics list.
 ctest --test-dir "${BUILD}" --output-on-failure \
-      -R 'ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Topology|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|Trace|Collector|Classifier|ArenaChurn|Replay|ClosedLoopReplay|Detlint|Archlint|Lint'
+      -R 'Simulator|ThreadPool|SweepRunner|ParallelDeterminism|DeriveSeed|ResolvedThreads|Topology|Network|NodeFailure|TransientOutage|DegradedLink|SlowNode|FaultPlan|Scenario|InvariantAudit|SchedulerDifferential|GoldenTrace|SpecApi|SpecError|Serve|Chaos|Spill|Trace|Collector|Classifier|ArenaChurn|Replay|ClosedLoopReplay|Detlint|Archlint|Lint'
 
 # A quick pass of the scheduler benchmark under the sanitizer: exercises
 # the incremental and reference schedulers back to back on all the
